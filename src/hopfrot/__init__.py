@@ -31,7 +31,6 @@ from .quat import (
 from .rotations import (
     AxisAngle,
     axis_angle,
-    convert_convention,
     gb,
     gq,
     matvec_as_quat,

@@ -17,11 +17,11 @@ import sys
 import numpy as np
 
 from .errors import DomainError, UnknownCheck
-from .hopf import HopfVariant, apply_variant, fiber_sample, lift_bloch, lift_classic, lift_quat_hopf
-from .quat import ComplexPair, Quaternion, from_complex_pair, norm, to_complex_pair, vector_norm
+from .hopf import LIFTS, HopfVariant, apply_variant, fiber_sample, lift_bloch
+from .quat import ComplexPair, Quaternion, from_complex_pair, to_complex_pair, vector_norm
 from .rotations import AxisAngle, gb, gq, rotate, rotate_via_bloch, to_axis_angle
-from .su2 import SU2Matrix, quat_from_su2, su2_from_quat
-from .verify import CATALOG, DiagramCheck, run_check, subseed
+from .su2 import quat_from_su2, su2_from_quat
+from .verify import CATALOG, encode, run_all
 
 RENORM_BAND = 1e-6
 
@@ -47,7 +47,7 @@ def _load_doc(path: str | None) -> dict:
             with open(path, "r", encoding="utf-8") as f:
                 text = f.read()
         doc = json.loads(text)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: bad JSON, UTF-8 or int literal
         raise ParseError(f"cannot read input document: {e}") from e
     if not isinstance(doc, dict):
         raise ParseError("input document must be a JSON object")
@@ -63,7 +63,13 @@ def _reject_unknown(doc: dict, allowed: set[str]) -> None:
 def _real(x, what: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ParseError(f"{what} must be a number")
-    return float(x)
+    try:
+        v = float(x)
+    except OverflowError:  # an integer literal beyond the float range
+        v = math.inf
+    if not math.isfinite(v):
+        raise DomainError(f"{what} must be finite")
+    return v
 
 
 def _reals(x, n: int, what: str) -> list[float]:
@@ -94,6 +100,18 @@ def _point_of(x, what: str) -> np.ndarray:
     return np.array(_reals(x, 3, what))
 
 
+def _renormalized(values: list[float], what: str) -> list[float]:
+    """Scale to unit norm a value within RENORM_BAND of it, with a warning;
+    further off is a domain error."""
+    n = vector_norm(values)
+    if n == 0.0 or abs(n - 1.0) > RENORM_BAND:
+        raise DomainError(f"{what} norm {n!r} is outside the renormalization band")
+    if n != 1.0:
+        print(f"warning: renormalizing {what} (norm {n!r})", file=sys.stderr)
+        values = [c / n for c in values]
+    return values
+
+
 def _axis_angle_of(x, degrees: bool) -> AxisAngle:
     if not isinstance(x, dict):
         raise ParseError("axis_angle must be an object")
@@ -103,13 +121,7 @@ def _axis_angle_of(x, degrees: bool) -> AxisAngle:
     theta = _real(x["theta"], "theta")
     if degrees:
         theta = math.radians(theta)
-    axis = _reals(x["axis"], 3, "axis")
-    n = vector_norm(axis)
-    if n == 0.0 or abs(n - 1.0) > RENORM_BAND:
-        raise DomainError(f"axis norm {n!r} is outside the renormalization band")
-    if n != 1.0:
-        print(f"warning: renormalizing axis (norm {n!r})", file=sys.stderr)
-        axis = [c / n for c in axis]
+    axis = _renormalized(_reals(x["axis"], 3, "axis"), "axis")
     return AxisAngle(theta, tuple(axis))
 
 
@@ -117,28 +129,8 @@ def _axis_angle_of(x, degrees: bool) -> AxisAngle:
 # document encoding
 
 
-def _enc_quat(q: Quaternion) -> list[float]:
-    return [q.x0, q.x1, q.x2, q.x3]
-
-
-def _enc_complex(c: complex) -> list[float]:
-    return [c.real, c.imag]
-
-
-def _enc_su2(m: SU2Matrix) -> dict:
-    return {"z": _enc_complex(m.z), "w": _enc_complex(m.w)}
-
-
-def _enc_pair(v: ComplexPair) -> dict:
-    return {"z": _enc_complex(v.z), "w": _enc_complex(v.w)}
-
-
-def _enc_point(p) -> list[float]:
-    return [float(c) for c in p]
-
-
 def _emit(doc: dict) -> None:
-    json.dump(doc, sys.stdout, sort_keys=True)
+    json.dump(doc, sys.stdout, sort_keys=True, default=encode)
     sys.stdout.write("\n")
 
 
@@ -159,21 +151,15 @@ def _cmd_convert(args) -> int:
             q = _quat_of(doc["quaternion"], "quaternion")
         else:
             q = quat_from_su2(_pair_of(doc["su2"], "su2"))
-        n = norm(q)
-        if n == 0.0 or abs(n - 1.0) > RENORM_BAND:
-            raise DomainError(f"input norm {n!r} is outside the renormalization band")
-        if n != 1.0:
-            print(f"warning: renormalizing input (norm {n!r})", file=sys.stderr)
-            q = q.scale(1.0 / n)
-        aa = to_axis_angle(q)
+        aa = to_axis_angle(Quaternion(*_renormalized([q.x0, q.x1, q.x2, q.x3], "input")))
     theta_out = math.degrees(aa.theta) if args.degrees else aa.theta
     q_out = gq(aa)
     _emit(
         {
             "axis_angle": {"theta": theta_out, "axis": list(aa.axis)},
-            "gq": _enc_quat(q_out),
-            "gq_su2": _enc_su2(su2_from_quat(q_out)),
-            "gb_su2": _enc_su2(gb(aa)),
+            "gq": q_out,
+            "gq_su2": su2_from_quat(q_out),
+            "gb_su2": gb(aa),
         }
     )
     return EXIT_OK
@@ -198,12 +184,8 @@ def _cmd_rotate(args) -> int:
             out.append(n * rotate_via_bloch(aa, lift_bloch(p / n)))
     else:
         out = [rotate(aa, p) for p in points]
-    _emit({"points": [_enc_point(p) for p in out]})
+    _emit({"points": out})
     return EXIT_OK
-
-
-def _variant(args) -> HopfVariant:
-    return HopfVariant(args.variant)
 
 
 def _cmd_hopf(args) -> int:
@@ -211,27 +193,19 @@ def _cmd_hopf(args) -> int:
     _reject_unknown(doc, {"inputs"})
     if "inputs" not in doc or not isinstance(doc["inputs"], list):
         raise ParseError("hopf needs an inputs list")
-    variant = _variant(args)
+    variant = HopfVariant(args.variant)
     pairs = []
     for item in doc["inputs"]:
         if variant is HopfVariant.QUAT:
             pairs.append(to_complex_pair(_quat_of(item, "input quaternion")))
         else:
             pairs.append(_pair_of(item, "input pair"))
-    points = [apply_variant(variant, v) for v in pairs]
-    _emit({"points": [_enc_point(p) for p in points]})
+    _emit({"points": [apply_variant(variant, v) for v in pairs]})
     return EXIT_OK
 
 
 def _sphere_point(x, what: str) -> np.ndarray:
-    p = _point_of(x, what)
-    n = vector_norm(p.tolist())
-    if n == 0.0 or abs(n - 1.0) > RENORM_BAND:
-        raise DomainError(f"{what} norm {n!r} is outside the renormalization band")
-    if n != 1.0:
-        print(f"warning: renormalizing {what} (norm {n!r})", file=sys.stderr)
-        p = p / n
-    return p
+    return np.array(_renormalized(_reals(x, 3, what), what))
 
 
 def _cmd_lift(args) -> int:
@@ -239,15 +213,8 @@ def _cmd_lift(args) -> int:
     _reject_unknown(doc, {"points"})
     if "points" not in doc or not isinstance(doc["points"], list):
         raise ParseError("lift needs a points list")
-    variant = _variant(args)
-    points = [_sphere_point(p, "point") for p in doc["points"]]
-    if variant is HopfVariant.QUAT:
-        lifts = [_enc_quat(lift_quat_hopf(p)) for p in points]
-    elif variant is HopfVariant.BLOCH:
-        lifts = [_enc_pair(lift_bloch(p)) for p in points]
-    else:
-        lifts = [_enc_pair(lift_classic(p)) for p in points]
-    _emit({"lifts": lifts})
+    lift = LIFTS[HopfVariant(args.variant)]
+    _emit({"lifts": [lift(_sphere_point(p, "point")) for p in doc["points"]]})
     return EXIT_OK
 
 
@@ -256,37 +223,40 @@ def _cmd_fiber(args) -> int:
     _reject_unknown(doc, {"base"})
     if "base" not in doc:
         raise ParseError("fiber needs a base point")
-    if args.count < 1:
-        raise ParseError("--count must be >= 1")
-    variant = _variant(args)
+    variant = HopfVariant(args.variant)
     base = _sphere_point(doc["base"], "base")
     lifts = fiber_sample(variant, base, args.count)
     max_err = max(
         vector_norm((apply_variant(variant, v) - base).tolist()) for v in lifts
     )
     if variant is HopfVariant.QUAT:
-        encoded = [_enc_quat(from_complex_pair(v)) for v in lifts]
-    else:
-        encoded = [_enc_pair(v) for v in lifts]
-    _emit({"lifts": encoded, "roundtrip_max_error": max_err})
+        lifts = [from_complex_pair(v) for v in lifts]
+    _emit({"lifts": lifts, "roundtrip_max_error": max_err})
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    names = args.check if args.check else CATALOG
-    for name in names:
-        if name not in CATALOG:
-            raise ParseError(f"unknown check name: {name}")
-    reports = [
-        run_check(DiagramCheck(name, args.samples, subseed(args.seed, name), args.tolerance))
-        for name in names
-    ]
+    reports = run_all(args.samples, args.seed, args.tolerance, args.check or CATALOG)
     _emit({"reports": [r.to_dict() for r in reports]})
     ok = all(r.failures == 0 for r in reports)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
 # ---------------------------------------------------------------------------
+
+
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
+def _tolerance(text: str) -> float:
+    t = float(text)
+    if not math.isfinite(t) or t <= 0:
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {t}")
+    return t
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -324,15 +294,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fiber", help="sample the fiber circle over a base point")
     add_common(p)
     p.add_argument("--variant", choices=["classic", "quat", "bloch"], required=True)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_fiber)
 
     p = sub.add_parser("verify", help="run the randomized identity checks")
     p.add_argument("--check", action="append", metavar="NAME",
                    help="run only this check (repeatable)")
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=_positive_int, default=10000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=_tolerance, default=1e-9)
     p.set_defaults(func=_cmd_verify)
 
     return parser

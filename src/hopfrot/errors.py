@@ -19,3 +19,6 @@ class ZeroVector(DomainError):
 
 class UnknownCheck(KeyError):
     """A check name outside the verification catalog."""
+
+    def __str__(self) -> str:
+        return f"unknown check name: {self.args[0]}"

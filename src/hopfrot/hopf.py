@@ -27,7 +27,7 @@ from .quat import (
     to_complex_pair,
     vector_norm,
 )
-from .sphere import INFINITY, ExtendedComplex, chart, ext_conjugate, project, stereo3_inv
+from .sphere import chart, ext_conjugate, project, ratio, require_sphere, stereo3_inv
 
 
 class HopfVariant(enum.Enum):
@@ -56,12 +56,7 @@ def bloch(v: ComplexPair) -> np.ndarray:
     """
     if abs(v.z) <= EPS_NORM and abs(v.w) <= EPS_NORM:
         raise ZeroVector("Bloch projection of the zero vector")
-    if v.w == 0:
-        u: ExtendedComplex = INFINITY
-    else:
-        ratio = v.z / v.w
-        u = INFINITY if not cmath.isfinite(ratio) else ExtendedComplex(ratio)
-    return stereo3_inv(ext_conjugate(u))
+    return stereo3_inv(ext_conjugate(ratio(v.z, v.w)))
 
 
 def hopf_classic(v: ComplexPair) -> np.ndarray:
@@ -77,12 +72,20 @@ def reverse(p) -> np.ndarray:
     return np.array([z, y, x])
 
 
-def _spherical_half_angles(p) -> tuple[float, float]:
-    """Colatitude theta and azimuth phi of a unit point; phi = 0 at poles."""
-    x, y, z = p
+def _spherical_lift(p, sign: int) -> ComplexPair:
+    """The section (cos theta/2, e^{sign i phi} sin theta/2) over a unit point,
+    with colatitude theta and azimuth phi; phi = 0 at the poles.
+
+    The phase is computed for each sign rather than conjugated: where
+    phi = 0, conjugation would turn +0.0 imaginary parts into -0.0.
+    """
+    x, y, z = require_sphere(p)
     theta = math.acos(max(-1.0, min(1.0, float(z))))
     phi = math.atan2(float(y), float(x))
-    return theta, phi
+    return ComplexPair(
+        complex(math.cos(theta / 2.0)),
+        cmath.exp(sign * 1j * phi) * math.sin(theta / 2.0),
+    )
 
 
 def lift_bloch(p) -> ComplexPair:
@@ -91,12 +94,7 @@ def lift_bloch(p) -> ComplexPair:
     Uses the spherical-coordinate section (cos theta/2, e^{i phi} sin theta/2);
     at the south pole phi is fixed to 0, giving (0, 1).
     """
-    p = _require_sphere(p)
-    theta, phi = _spherical_half_angles(p)
-    return ComplexPair(
-        complex(math.cos(theta / 2.0)),
-        cmath.exp(1j * phi) * math.sin(theta / 2.0),
-    )
+    return _spherical_lift(p, 1)
 
 
 def lift_classic(p) -> ComplexPair:
@@ -105,12 +103,7 @@ def lift_classic(p) -> ComplexPair:
     The classic map omits the Bloch map's conjugation, so the section is
     the Bloch one with the azimuth phase conjugated.
     """
-    p = _require_sphere(p)
-    theta, phi = _spherical_half_angles(p)
-    return ComplexPair(
-        complex(math.cos(theta / 2.0)),
-        cmath.exp(-1j * phi) * math.sin(theta / 2.0),
-    )
+    return _spherical_lift(p, -1)
 
 
 def lift_quat_hopf(p) -> Quaternion:
@@ -119,8 +112,7 @@ def lift_quat_hopf(p) -> Quaternion:
     Constructed as the rotation carrying (1,0,0) to p about the axis
     i x p.  The degenerate bases are pinned: (1,0,0) -> 1, (-1,0,0) -> j.
     """
-    p = _require_sphere(p)
-    x, y, z = (float(c) for c in p)
+    x, y, z = (float(c) for c in require_sphere(p))
     axis = (0.0, -z, y)  # (1,0,0) cross p
     s = vector_norm(axis)
     if s <= EPS_NORM:
@@ -131,11 +123,11 @@ def lift_quat_hopf(p) -> Quaternion:
     return Quaternion(c, sn * ax, sn * ay, sn * az)
 
 
-def _require_sphere(p) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if abs(float(np.dot(p, p)) - 1.0) > 2 * EPS_NORM:
-        raise NotUnit(f"point {p.tolist()} is not on the unit sphere")
-    return p
+LIFTS = {
+    HopfVariant.CLASSIC: lift_classic,
+    HopfVariant.QUAT: lift_quat_hopf,
+    HopfVariant.BLOCH: lift_bloch,
+}
 
 
 def fiber_sample(variant: HopfVariant, base, count: int) -> list[ComplexPair]:
@@ -148,18 +140,14 @@ def fiber_sample(variant: HopfVariant, base, count: int) -> list[ComplexPair]:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    base = _require_sphere(base)
+    lift = LIFTS[variant](base)
     out: list[ComplexPair] = []
-    if variant is HopfVariant.QUAT:
-        lift = lift_quat_hopf(base)
-        for m in range(count):
-            t = 2.0 * math.pi * m / count
+    for m in range(count):
+        t = 2.0 * math.pi * m / count
+        if variant is HopfVariant.QUAT:
             phase = Quaternion(math.cos(t), math.sin(t), 0.0, 0.0)
             out.append(to_complex_pair(multiply(lift, phase)))
-    else:
-        lift = lift_bloch(base) if variant is HopfVariant.BLOCH else lift_classic(base)
-        for m in range(count):
-            t = 2.0 * math.pi * m / count
+        else:
             out.append(lift.scale(cmath.exp(1j * t)))
     return out
 

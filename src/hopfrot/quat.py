@@ -90,13 +90,6 @@ def require_unit(q: Quaternion) -> Quaternion:
     return q
 
 
-def normalize(q: Quaternion) -> Quaternion:
-    n = norm(q)
-    if n == 0.0:
-        raise NotUnit("cannot normalize the zero quaternion")
-    return q.scale(1.0 / n)
-
-
 def to_complex_pair(q: Quaternion) -> ComplexPair:
     return ComplexPair(complex(q.x0, q.x1), complex(q.x2, q.x3))
 

@@ -92,15 +92,6 @@ def matvec_as_quat(g: SU2Matrix, h: ComplexPair) -> ComplexPair:
     return to_complex_pair(prod)
 
 
-def convert_convention(aa: AxisAngle) -> tuple[Quaternion, SU2Matrix]:
-    """Both unitary forms of one rotation: (g_Q, g_B).
-
-    The pair satisfies gb(theta, n) = su2_from_quat(gq(-theta, reverse(n)))
-    entrywise.
-    """
-    return gq(aa), gb(aa)
-
-
 def reconcile(aa: AxisAngle, p, fiber_q: float, fiber_b: complex) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the same rotation of p through both conventions.
 

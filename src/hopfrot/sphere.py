@@ -83,9 +83,8 @@ def proj_eq(p: ProjectivePoint, q: ProjectivePoint) -> bool:
     return cross <= EPS_PROJ * scale
 
 
-def chart(p: ProjectivePoint) -> ExtendedComplex:
-    """The coordinate chart [z0, z1] -> z0/z1, with [1, 0] -> infinity."""
-    z, w = p.rep.z, p.rep.w
+def ratio(z: complex, w: complex) -> ExtendedComplex:
+    """z/w in C+: infinity when w == 0 or the quotient overflows."""
     if w == 0:
         return INFINITY
     u = z / w
@@ -94,7 +93,12 @@ def chart(p: ProjectivePoint) -> ExtendedComplex:
     return ExtendedComplex(u)
 
 
-def _check_sphere(p) -> np.ndarray:
+def chart(p: ProjectivePoint) -> ExtendedComplex:
+    """The coordinate chart [z0, z1] -> z0/z1, with [1, 0] -> infinity."""
+    return ratio(p.rep.z, p.rep.w)
+
+
+def require_sphere(p) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if abs(float(np.dot(p, p)) - 1.0) > 2 * EPS_NORM:
         raise NotUnit(f"point {p.tolist()} is not on the unit sphere")
@@ -103,7 +107,7 @@ def _check_sphere(p) -> np.ndarray:
 
 def stereo1(p) -> ExtendedComplex:
     """Project S^2 from the pole (1,0,0): (x,y,z) -> (y + iz)/(1 - x)."""
-    x, y, z = _check_sphere(p)
+    x, y, z = require_sphere(p)
     d = 1.0 - x
     if d < _POLE_FLOOR:
         return INFINITY
@@ -112,22 +116,11 @@ def stereo1(p) -> ExtendedComplex:
 
 def stereo3(p) -> ExtendedComplex:
     """Project S^2 from the pole (0,0,1): (x,y,z) -> (x + iy)/(1 - z)."""
-    x, y, z = _check_sphere(p)
+    x, y, z = require_sphere(p)
     d = 1.0 - z
     if d < _POLE_FLOOR:
         return INFINITY
     return ExtendedComplex(complex(x / d, y / d))
-
-
-def stereo1_inv(u: ExtendedComplex) -> np.ndarray:
-    if u.is_infinity:
-        return np.array([1.0, 0.0, 0.0])
-    a, b = u.finite.real, u.finite.imag
-    r2 = a * a + b * b
-    if math.isinf(r2):
-        return np.array([1.0, 0.0, 0.0])
-    d = r2 + 1.0
-    return np.array([(r2 - 1.0) / d, 2.0 * a / d, 2.0 * b / d])
 
 
 def stereo3_inv(u: ExtendedComplex) -> np.ndarray:
@@ -139,6 +132,10 @@ def stereo3_inv(u: ExtendedComplex) -> np.ndarray:
         return np.array([0.0, 0.0, 1.0])
     d = r2 + 1.0
     return np.array([2.0 * a / d, 2.0 * b / d, (r2 - 1.0) / d])
+
+
+def stereo1_inv(u: ExtendedComplex) -> np.ndarray:
+    return stereo3_inv(u)[[2, 0, 1]]
 
 
 def ext_conjugate(u: ExtendedComplex) -> ExtendedComplex:

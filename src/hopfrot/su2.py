@@ -60,8 +60,3 @@ def act_on_proj(g: SU2Matrix, p: ProjectivePoint) -> ProjectivePoint:
 def torus(theta: float) -> SU2Matrix:
     """The diagonal subgroup element diag(e^{i theta}, e^{-i theta})."""
     return SU2Matrix(cmath.exp(1j * theta), 0j)
-
-
-def unitarity_defect(g: SU2Matrix) -> float:
-    """Distance of |z|^2 + |w|^2 from 1; drift monitor for products."""
-    return abs(abs(g.z) ** 2 + abs(g.w) ** 2 - 1.0)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from .sphere import (
     stereo3_inv,
 )
 from .su2 import (
+    SU2Matrix,
     act_on_proj,
     act_on_vector,
     quat_from_su2,
@@ -67,8 +68,8 @@ class DiagramCheck:
             raise UnknownCheck(self.name)
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not math.isfinite(self.tolerance) or self.tolerance <= 0:
+            raise ValueError("tolerance must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -81,14 +82,22 @@ class CheckReport:
     resampled: int
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "samples": self.samples,
-            "max_deviation": self.max_deviation,
-            "failures": self.failures,
-            "worst_input": self.worst_input,
-            "resampled": self.resampled,
-        }
+        return asdict(self)
+
+
+def encode(x):
+    """JSON form of the package's values; pass as json.dump(s)(default=encode)."""
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if isinstance(x, Quaternion):
+        return [x.x0, x.x1, x.x2, x.x3]
+    if isinstance(x, (ComplexPair, SU2Matrix)):
+        return {"z": [x.z.real, x.z.imag], "w": [x.w.real, x.w.imag]}
+    if isinstance(x, AxisAngle):
+        return {"theta": x.theta, "axis": list(x.axis)}
+    if isinstance(x, complex):
+        return [x.real, x.imag]
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
@@ -156,26 +165,10 @@ def _raw_chart(v: ComplexPair) -> ExtendedComplex:
     return ExtendedComplex(v.z / v.w)
 
 
-def _desc(**kw) -> dict:
-    def enc(x):
-        if isinstance(x, Quaternion):
-            return [x.x0, x.x1, x.x2, x.x3]
-        if isinstance(x, ComplexPair):
-            return {"z": [x.z.real, x.z.imag], "w": [x.w.real, x.w.imag]}
-        if isinstance(x, AxisAngle):
-            return {"theta": x.theta, "axis": list(x.axis)}
-        if isinstance(x, np.ndarray):
-            return x.tolist()
-        if isinstance(x, complex):
-            return [x.real, x.imag]
-        return x
-
-    return {k: enc(v) for k, v in kw.items()}
-
-
 # ---------------------------------------------------------------------------
-# the catalog; each function draws one sample and returns
-# (deviation, sample-dict), or None to request a redraw (near-pole sample)
+# the catalog; each function draws one sample and returns (deviation,
+# sample-dict), or None to request a redraw (near-pole sample); run_check
+# serializes a sample only when it becomes the worst one
 
 
 def _check_rephrase(rng):
@@ -187,7 +180,7 @@ def _check_rephrase(rng):
         return None
     left = act_on_proj(g, project(v)).rep
     right = project(acted).rep
-    return _dist_pair(left, right), _desc(g=q, v=v)
+    return _dist_pair(left, right), dict(g=q, v=v)
 
 
 def _check_quat_identification(rng):
@@ -198,7 +191,7 @@ def _check_quat_identification(rng):
         return None
     left = stereo1_inv(ext_mul_i(chart(moved)))
     right = quat_hopf(q)
-    return _dist3(left, right), _desc(g=q)
+    return _dist3(left, right), dict(g=q)
 
 
 def _check_template_classic(rng):
@@ -206,7 +199,7 @@ def _check_template_classic(rng):
     if abs(v.w) < _POLE_GUARD:
         return None
     pipeline = stereo3_inv(_raw_chart(v))
-    return _dist3(pipeline, hopf_classic(v)), _desc(v=v)
+    return _dist3(pipeline, hopf_classic(v)), dict(v=v)
 
 
 def _check_template_quat(rng):
@@ -215,7 +208,7 @@ def _check_template_quat(rng):
     if abs(t.w) < _POLE_GUARD:
         return None
     pipeline = stereo1_inv(ext_mul_i(_raw_chart(t)))
-    return _dist3(pipeline, quat_hopf(q)), _desc(g=q)
+    return _dist3(pipeline, quat_hopf(q)), dict(g=q)
 
 
 def _check_template_bloch(rng):
@@ -225,7 +218,7 @@ def _check_template_bloch(rng):
     # canonical projective route here; bloch itself divides directly,
     # so the two sides are independent computations
     pipeline = stereo3_inv(ext_conjugate(chart(project(v))))
-    return _dist3(pipeline, bloch(v)), _desc(v=v)
+    return _dist3(pipeline, bloch(v)), dict(v=v)
 
 
 def _check_compare_bloch_quat(rng):
@@ -234,14 +227,14 @@ def _check_compare_bloch_quat(rng):
         return None
     left = bloch(transpose_map(s))
     right = reverse(quat_hopf(from_complex_pair(s)))
-    return _dist3(left, right), _desc(s=s)
+    return _dist3(left, right), dict(s=s)
 
 
 def _check_odot_lemma(rng):
     q = _unit_quat(rng)
     h = _nonzero_pair(rng)
     g = su2_from_quat(q)
-    return _dist_pair(act_on_vector(g, h), matvec_as_quat(g, h)), _desc(g=q, h=h)
+    return _dist_pair(act_on_vector(g, h), matvec_as_quat(g, h)), dict(g=q, h=h)
 
 
 def _check_reconcile(rng):
@@ -252,7 +245,7 @@ def _check_reconcile(rng):
     via_quat, via_bloch = reconcile(aa, p, fq, fb)
     direct = rotate(aa, p)
     dev = max(_dist3(via_quat, via_bloch), _dist3(via_quat, direct))
-    return dev, _desc(aa=aa, p=p, fiber_q=fq, fiber_b=fb)
+    return dev, dict(aa=aa, p=p, fiber_q=fq, fiber_b=fb)
 
 
 def _check_derivation_16_18(rng):
@@ -269,7 +262,7 @@ def _check_derivation_16_18(rng):
     e3 = reverse(quat_hopf(multiply(g_tilde, transpose(h_tilde))))
     e4 = rotate(aa, bloch(h))
     dev = max(_dist3(e1, e2), _dist3(e2, e3), _dist3(e3, e4))
-    return dev, _desc(aa=aa, h=h)
+    return dev, dict(aa=aa, h=h)
 
 
 def _check_final_diagram(rng):
@@ -280,7 +273,7 @@ def _check_final_diagram(rng):
     top, bottom = reconcile(aa, p, fq, fb)
     middle = rotate(aa, p)
     dev = max(_dist3(top, middle), _dist3(bottom, middle), _dist3(top, bottom))
-    return dev, _desc(aa=aa, p=p, fiber_q=fq, fiber_b=fb)
+    return dev, dict(aa=aa, p=p, fiber_q=fq, fiber_b=fb)
 
 
 def _check_iso_su2_quat(rng):
@@ -288,7 +281,7 @@ def _check_iso_su2_quat(rng):
     q2 = _unit_quat(rng)
     left = su2_from_quat(multiply(q1, q2))
     right = su2_multiply(su2_from_quat(q1), su2_from_quat(q2))
-    return _dist_pair(left, right), _desc(q1=q1, q2=q2)
+    return _dist_pair(left, right), dict(q1=q1, q2=q2)
 
 
 def _check_fiber_invariance(rng):
@@ -301,7 +294,7 @@ def _check_fiber_invariance(rng):
     if abs(v.w) < _POLE_GUARD:
         return None
     dev_b = _dist3(bloch(v.scale(lam)), bloch(v))
-    return max(dev_q, dev_b), _desc(g=q, theta=t, v=v, scalar=lam)
+    return max(dev_q, dev_b), dict(g=q, theta=t, v=v, scalar=lam)
 
 
 CHECK_FUNCS = {
@@ -346,7 +339,7 @@ def run_check(check: DiagramCheck) -> CheckReport:
             failures += 1
         if dev >= max_dev:
             max_dev = dev
-            worst = json.dumps(sample, sort_keys=True)
+            worst = json.dumps(sample, sort_keys=True, default=encode)
     return CheckReport(check.name, check.samples, max_dev, failures, worst, resampled)
 
 
@@ -355,9 +348,8 @@ def subseed(seed: int, name: str) -> int:
     return (int(seed) + zlib.crc32(name.encode())) % (1 << 64)
 
 
-def run_all(samples: int, seed: int, tolerance: float) -> list[CheckReport]:
-    """Run the full catalog in order with per-check derived sub-seeds."""
-    return [
-        run_check(DiagramCheck(name, samples, subseed(seed, name), tolerance))
-        for name in CATALOG
-    ]
+def run_all(samples: int, seed: int, tolerance: float, names=CATALOG) -> list[CheckReport]:
+    """Run the named checks (the full catalog by default) in order with
+    per-check derived sub-seeds; every name is validated before any runs."""
+    checks = [DiagramCheck(name, samples, subseed(seed, name), tolerance) for name in names]
+    return [run_check(check) for check in checks]

@@ -8,9 +8,6 @@ sample count, printing a single PASS line when it holds.  Run with
 import cmath
 import json
 import math
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,10 +43,10 @@ from hopfrot import (
 from hopfrot.hopf import HopfVariant, apply_variant, fiber_sample
 from hopfrot.sphere import INFINITY, finite
 
+from goldens import CASES, check_golden, run_cli
 from oracles import rodrigues
 
 N = 10_000
-GOLDEN = Path(__file__).parent / "golden"
 
 
 def report(criterion, detail):
@@ -214,34 +211,14 @@ def test_criterion_9_fiber_invariance():
 
 
 def test_criterion_10_cli_contract():
-    def run(args, stdin=""):
-        return subprocess.run(
-            [sys.executable, "-m", "hopfrot", *args],
-            input=stdin,
-            capture_output=True,
-            text=True,
-        )
-
-    cases = [
-        ("convert.json", ["convert"], '{"axis_angle": {"theta": 1.5707963267948966, "axis": [0, 0, 1]}}'),
-        ("rotate.json", ["rotate"], '{"axis_angle": {"theta": 1.5707963267948966, "axis": [0, 0, 1]}, "points": [[1, 0, 0], [0, 0, 1]]}'),
-        ("hopf.json", ["hopf", "--variant", "quat"], '{"inputs": [[1, 0, 0, 0], [0.7071067811865476, 0, 0.7071067811865476, 0]]}'),
-        ("lift.json", ["lift", "--variant", "bloch"], '{"points": [[0, 0, 1], [1, 0, 0]]}'),
-        ("fiber.json", ["fiber", "--variant", "bloch", "--count", "4"], '{"base": [0, 0, 1]}'),
-        ("verify.json", ["verify", "--check", "odot-lemma", "--samples", "50", "--seed", "1"], ""),
-    ]
-    for name, args, stdin in cases:
-        first = run(args, stdin)
-        second = run(args, stdin)
-        assert first.returncode == 0, f"{args}: {first.stderr}"
-        assert first.stdout == second.stdout
-        assert first.stdout == (GOLDEN / name).read_text()
+    for name in CASES:
+        check_golden(name)
     # exit-code contract
-    assert run(["convert"], "not json").returncode == 2
-    assert run(["convert"], '{"axis_angle": {"theta": 1, "axis": [0, 0, 2]}}').returncode == 3
-    assert run(["verify", "--check", "bogus", "--samples", "1"]).returncode == 2
+    assert run_cli(["convert"], "not json").returncode == 2
+    assert run_cli(["convert"], '{"axis_angle": {"theta": 1, "axis": [0, 0, 2]}}').returncode == 3
+    assert run_cli(["verify", "--check", "bogus", "--samples", "1"]).returncode == 2
     assert (
-        run(["verify", "--check", "rephrase", "--samples", "5", "--tolerance", "1e-30"]).returncode
+        run_cli(["verify", "--check", "rephrase", "--samples", "5", "--tolerance", "1e-30"]).returncode
         == 1
     )
     report("criterion 10", "6 golden subcommands byte-identical, exit codes 0/1/2/3 honored")

@@ -1,78 +1,45 @@
 import json
 import math
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-GOLDEN = Path(__file__).parent / "golden"
-
-
-def run_cli(args, stdin=""):
-    return subprocess.run(
-        [sys.executable, "-m", "hopfrot", *args],
-        input=stdin,
-        capture_output=True,
-        text=True,
-    )
-
-
-def check_golden(name, args, stdin):
-    first = run_cli(args, stdin)
-    second = run_cli(args, stdin)
-    assert first.returncode == 0, first.stderr
-    assert first.stdout == second.stdout  # byte determinism
-    expected = (GOLDEN / name).read_text()
-    assert first.stdout == expected
-    return first
-
-
-CONVERT_IN = '{"axis_angle": {"theta": 1.5707963267948966, "axis": [0, 0, 1]}}\n'
-ROTATE_IN = (
-    '{"axis_angle": {"theta": 1.5707963267948966, "axis": [0, 0, 1]},'
-    ' "points": [[1, 0, 0], [0, 0, 1]]}\n'
-)
-HOPF_IN = '{"inputs": [[1, 0, 0, 0], [0.7071067811865476, 0, 0.7071067811865476, 0]]}\n'
-LIFT_IN = '{"points": [[0, 0, 1], [1, 0, 0]]}\n'
-FIBER_IN = '{"base": [0, 0, 1]}\n'
+from goldens import CONVERT_IN, FIBER_IN, ROTATE_IN, check_golden, run_cli
 
 
 def test_convert_golden():
-    res = check_golden("convert.json", ["convert"], CONVERT_IN)
+    res = check_golden("convert.json")
     doc = json.loads(res.stdout)
     assert doc["gq"] == pytest.approx([math.sqrt(0.5), 0, 0, math.sqrt(0.5)])
 
 
 def test_rotate_golden():
-    res = check_golden("rotate.json", ["rotate"], ROTATE_IN)
+    res = check_golden("rotate.json")
     doc = json.loads(res.stdout)
     np.testing.assert_allclose(doc["points"][0], [0, 1, 0], atol=1e-12)
     np.testing.assert_allclose(doc["points"][1], [0, 0, 1], atol=1e-12)
 
 
 def test_hopf_golden():
-    res = check_golden("hopf.json", ["hopf", "--variant", "quat"], HOPF_IN)
+    res = check_golden("hopf.json")
     doc = json.loads(res.stdout)
     np.testing.assert_allclose(doc["points"][0], [1, 0, 0])
     np.testing.assert_allclose(doc["points"][1], [0, 0, -1], atol=1e-12)
 
 
 def test_lift_golden():
-    check_golden("lift.json", ["lift", "--variant", "bloch"], LIFT_IN)
+    check_golden("lift.json")
 
 
 def test_fiber_golden():
-    res = check_golden("fiber.json", ["fiber", "--variant", "bloch", "--count", "4"], FIBER_IN)
+    res = check_golden("fiber.json")
     doc = json.loads(res.stdout)
     assert len(doc["lifts"]) == 4
     assert doc["roundtrip_max_error"] <= 1e-9
 
 
 def test_verify_golden():
-    args = ["verify", "--check", "odot-lemma", "--samples", "50", "--seed", "1"]
-    check_golden("verify.json", args, "")
+    check_golden("verify.json")
 
 
 def test_rotate_conventions_agree():
@@ -123,11 +90,14 @@ def test_in_file(tmp_path):
 
 
 def test_axis_renormalization_warns():
-    res = run_cli(
-        ["convert"], '{"axis_angle": {"theta": 1, "axis": [0, 0, 1.0000001]}}'
-    )
-    assert res.returncode == 0
-    assert "renormalizing" in res.stderr
+    for doc in (
+        '{"axis_angle": {"theta": 1, "axis": [0, 0, 1.0000001]}}',
+        '{"quaternion": [0, 0, 1.0000001, 0]}',
+        '{"su2": {"z": [0, 0], "w": [0, 1.0000001]}}',
+    ):
+        res = run_cli(["convert"], doc)
+        assert res.returncode == 0
+        assert "renormalizing" in res.stderr
 
 
 def test_empty_points_ok():
@@ -156,6 +126,52 @@ class TestExitCodes:
     def test_bad_count_is_2(self):
         res = run_cli(["fiber", "--variant", "quat", "--count", "0"], FIBER_IN)
         assert res.returncode == 2
+
+    @pytest.mark.parametrize(
+        "args,stdin",
+        [
+            (["rotate"], '{"axis_angle": {"theta": 1, "axis": [NaN, 0, 1]}, "points": [[1, 0, 0]]}'),
+            (["rotate"], '{"axis_angle": {"theta": Infinity, "axis": [0, 0, 1]}, "points": [[1, 0, 0]]}'),
+            (["lift", "--variant", "bloch"], '{"points": [[NaN, 0, 1]]}'),
+            (["hopf", "--variant", "quat"], '{"inputs": [[NaN, 0, 0, 1]]}'),
+            (["convert"], '{"quaternion": [1%s, 0, 0, 0]}' % ("0" * 400)),
+        ],
+        ids=["nan-axis", "infinite-theta", "nan-lift", "nan-hopf", "int-beyond-float"],
+    )
+    def test_non_finite_input_is_3(self, args, stdin):
+        res = run_cli(args, stdin)
+        assert res.returncode == 3
+        assert res.stdout == ""
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["verify", "--samples", "0"],
+            ["verify", "--tolerance", "nan"],
+            ["verify", "--tolerance", "inf"],
+            ["verify", "--tolerance", "0"],
+            ["verify", "--tolerance", "-1e-9"],
+            ["fiber", "--variant", "quat", "--count", "-1"],
+        ],
+        ids=["samples-0", "tolerance-nan", "tolerance-inf", "tolerance-0", "tolerance-neg", "count-neg"],
+    )
+    def test_bad_flag_is_2(self, args):
+        res = run_cli(args, FIBER_IN)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "Traceback" not in res.stderr
+
+    def test_undecodable_input_is_2(self, tmp_path):
+        f = tmp_path / "doc.json"
+        f.write_bytes(b"\xff\xfe")
+        for args, stdin in [
+            (["convert", "--in", str(f)], ""),
+            (["convert"], '{"quaternion": [1%s, 0, 0, 0]}' % ("0" * 5000)),
+        ]:
+            res = run_cli(args, stdin)
+            assert res.returncode == 2
+            assert "Traceback" not in res.stderr
 
     def test_unknown_check_is_2(self):
         assert run_cli(["verify", "--check", "bogus", "--samples", "1"]).returncode == 2

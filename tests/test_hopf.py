@@ -20,11 +20,13 @@ from hopfrot import (
     multiply,
     quat_hopf,
     reverse,
+    stereo1_inv,
     to_complex_pair,
     transpose_map,
 )
 from hopfrot.hopf import apply_variant
 from hopfrot.quat import J, K, ONE
+from hopfrot.sphere import finite
 
 RNG = np.random.default_rng(11)
 S = 1 / math.sqrt(2)
@@ -152,6 +154,23 @@ class TestLifts:
             v = lift(p)
             assert abs(v.norm() - 1.0) <= 1e-12
             np.testing.assert_allclose(mapper(v), p, atol=1e-9)
+
+    def test_shared_routes_keep_exact_bits(self):
+        # repr shows the sign of every zero; a lift built by conjugating
+        # the Bloch one would turn these +0.0 imaginary parts into -0.0
+        assert repr(lift_classic((0, 0, 1))) == "ComplexPair(z=(1+0j), w=0j)"
+        assert repr(lift_classic((0, 0, -1))) == "ComplexPair(z=(6.123233995736766e-17+0j), w=(1+0j))"
+        assert repr(lift_classic((1, 0, 0))) == (
+            "ComplexPair(z=(0.7071067811865476+0j), w=(0.7071067811865475+0j))"
+        )
+        assert repr(lift_classic((0.6, 0, 0.8))) == (
+            "ComplexPair(z=(0.9486832980505138+0j), w=(0.3162277660168379+0j))"
+        )
+        assert repr(stereo1_inv(finite(2 - 3j)).tolist()) == (
+            "[0.8571428571428571, 0.2857142857142857, -0.42857142857142855]"
+        )
+        assert repr(bloch(ComplexPair(2 + 1j, 0j)).tolist()) == "[0.0, 0.0, 1.0]"
+        assert repr(bloch(ComplexPair(-1j, complex(0.0, -0.0))).tolist()) == "[0.0, 0.0, 1.0]"
 
     def test_quat_section(self):
         for _ in range(300):

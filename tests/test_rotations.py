@@ -12,7 +12,6 @@ from hopfrot import (
     ZeroVector,
     act_on_vector,
     axis_angle,
-    convert_convention,
     gb,
     gq,
     lift_bloch,
@@ -169,7 +168,8 @@ def test_matvec_as_quat_is_matrix_action():
 
 
 def test_convert_convention_relation():
-    q, m = convert_convention(axis_angle(0, (1, 0, 0)))
+    aa = axis_angle(0, (1, 0, 0))
+    q, m = gq(aa), gb(aa)
     assert q == ONE and m == IDENTITY
     for _ in range(500):
         aa = random_axis_angle(RNG)

@@ -32,8 +32,9 @@ def test_unknown_check_rejected():
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         DiagramCheck("rephrase", 0, 0, 1e-9)
-    with pytest.raises(ValueError):
-        DiagramCheck("rephrase", 10, 0, 0.0)
+    for tolerance in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            DiagramCheck("rephrase", 10, 0, tolerance)
 
 
 def test_run_check_deterministic():
