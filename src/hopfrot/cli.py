@@ -5,6 +5,12 @@ stdout, diagnostics on stderr.  Exit codes: 0 success, 1 verification
 failure, 2 usage/parse error, 3 domain error.  Angles are radians unless
 --degrees is given; the axis may be off unit norm by up to 1e-6 and is
 renormalized with a warning (the library itself stays strict).
+
+rotate, hopf and lift evaluate a document as one batch: its rows are
+decoded into a float64 array, the library's column forms evaluate all of
+them at once, and the rows that meet a guard or branch are evaluated
+again by the scalar functions, in input order.  Output, warnings and
+errors are those of the scalar calls, byte for byte.
 """
 
 from __future__ import annotations
@@ -13,17 +19,41 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import astuple
+from itertools import chain
 
 import numpy as np
 
 from .errors import DomainError, UnknownCheck
-from .hopf import LIFTS, HopfVariant, apply_variant, fiber_sample, lift_bloch
-from .quat import ComplexPair, Quaternion, from_complex_pair, to_complex_pair, vector_norm
+from .hopf import (
+    HOPF_COLUMNS,
+    LIFT_COLUMNS,
+    LIFTS,
+    HopfVariant,
+    apply_variant,
+    bloch_columns,
+    fiber_sample,
+    lift_bloch,
+    sandwich,
+    spherical_lift_columns,
+)
+from .quat import (
+    ComplexPair,
+    Quaternion,
+    each,
+    from_complex_pair,
+    pair_of_columns,
+    require_unit,
+    vector_norm,
+)
 from .rotations import AxisAngle, gb, gq, rotate, rotate_via_bloch, to_axis_angle
-from .su2 import quat_from_su2, su2_from_quat
+from .su2 import act_on_vector, quat_from_su2, su2_from_quat
 from .verify import CATALOG, encode, run_all
 
 RENORM_BAND = 1e-6
+
+# rows per json.dumps call when a batch result is written
+_BLOCK = 2048
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -96,20 +126,69 @@ def _quat_of(x, what: str) -> Quaternion:
     return Quaternion(*_reals(x, 4, what))
 
 
-def _point_of(x, what: str) -> np.ndarray:
-    return np.array(_reals(x, 3, what))
+def _bulk(rows: list, width: int) -> np.ndarray | None:
+    """rows as an (N, width) float64 array when every row is a list of
+    `width` finite numbers (no bools), else None."""
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}):
+        return None
+    flat = list(chain.from_iterable(rows))
+    if not set(map(type, flat)) <= {float, int}:
+        return None
+    try:
+        arr = np.array(list(map(float, flat)), dtype=np.float64).reshape(-1, width)
+    except OverflowError:  # an integer literal beyond the float range
+        return None
+    return arr if np.isfinite(arr).all() else None
 
 
-def _renormalized(values: list[float], what: str) -> list[float]:
-    """Scale to unit norm a value within RENORM_BAND of it, with a warning;
-    further off is a domain error."""
-    n = vector_norm(values)
-    if n == 0.0 or abs(n - 1.0) > RENORM_BAND:
-        raise DomainError(f"{what} norm {n!r} is outside the renormalization band")
-    if n != 1.0:
-        print(f"warning: renormalizing {what} (norm {n!r})", file=sys.stderr)
-        values = [c / n for c in values]
-    return values
+def _rows(items: list, width: int, what: str) -> np.ndarray:
+    """Decode rows of `width` numbers into an (N, width) float64 array; a
+    bad row raises its own error, the first one in input order."""
+    arr = _bulk(items, width)
+    if arr is None:
+        arr = np.array([_reals(x, width, what) for x in items], dtype=np.float64)
+    return arr.reshape(-1, width)
+
+
+def _pair_rows(items: list, what: str) -> np.ndarray:
+    """Decode complex pairs into (N, 4) rows (Re z, Im z, Re w, Im w)."""
+    if all(type(x) is dict and x.keys() == {"z", "w"} for x in items):
+        arr = _bulk([c for x in items for c in (x["z"], x["w"])], 2)
+        if arr is not None:
+            return arr.reshape(-1, 4)
+    pairs = [from_complex_pair(_pair_of(x, what)) for x in items]
+    return np.array([astuple(q) for q in pairs], dtype=np.float64).reshape(-1, 4)
+
+
+def _pair(row: list) -> ComplexPair:
+    return ComplexPair(complex(row[0], row[1]), complex(row[2], row[3]))
+
+
+def _renormalized(rows: np.ndarray, what: str) -> np.ndarray:
+    """Scale to unit norm the rows within RENORM_BAND of it, each with a
+    warning, in order; a row further off is a domain error."""
+    norms = [vector_norm(r) for r in rows.tolist()]
+    for n in norms:
+        if n == 0.0 or abs(n - 1.0) > RENORM_BAND:
+            raise DomainError(f"{what} norm {n!r} is outside the renormalization band")
+        if n != 1.0:
+            print(f"warning: renormalizing {what} (norm {n!r})", file=sys.stderr)
+    return rows / np.array(norms).reshape(-1, 1)
+
+
+def _unit(values: list[float], what: str) -> list[float]:
+    return _renormalized(np.array([values]), what)[0].tolist()
+
+
+def _sphere_rows(items: list, what: str) -> np.ndarray:
+    """Decode and renormalize points of S^2.  Warnings and the first error
+    come in input order, as when each row is decoded and renormalized in
+    turn."""
+    arr = _bulk(items, 3)
+    if arr is None:  # some row is bad
+        return np.array([_unit(_reals(x, 3, what), what) for x in items]).reshape(-1, 3)
+    del items  # free the parsed rows before the norms are taken
+    return _renormalized(arr, what)
 
 
 def _axis_angle_of(x, degrees: bool) -> AxisAngle:
@@ -121,17 +200,54 @@ def _axis_angle_of(x, degrees: bool) -> AxisAngle:
     theta = _real(x["theta"], "theta")
     if degrees:
         theta = math.radians(theta)
-    axis = _renormalized(_reals(x["axis"], 3, "axis"), "axis")
-    return AxisAngle(theta, tuple(axis))
+    return AxisAngle(theta, tuple(_unit(_reals(x["axis"], 3, "axis"), "axis")))
 
 
 # ---------------------------------------------------------------------------
-# document encoding
+# batch evaluation and document encoding
+
+
+def _evaluate(rows: np.ndarray, columns, suspect, scalar) -> np.ndarray:
+    """A map evaluated on every row of an (N, k) array.
+
+    `columns` is the map's column form and `scalar` its scalar function of
+    one row; `suspect` (or None) flags the rows that may meet a guard or
+    branch of `scalar`.  Those rows, and rows whose column result is not
+    finite, are evaluated again by `scalar` in input order, so that they
+    end as the scalar call does.  A result that is still not finite has
+    overflowed: a domain error naming the row.
+    """
+    with np.errstate(all="ignore"):
+        cols = columns(*rows.T)
+        out = np.empty((len(rows), len(cols)))
+        for j, c in enumerate(cols):
+            out[:, j] = c
+        redo = ~np.isfinite(out).all(axis=1)
+        if suspect is not None:
+            redo |= suspect(*rows.T)
+        for i in np.flatnonzero(redo):
+            row = rows[i].tolist()
+            out[i] = scalar(row)
+            if not np.isfinite(out[i]).all():
+                raise DomainError(f"row {i} {row}: the result overflows the float range")
+    return out
 
 
 def _emit(doc: dict) -> None:
-    json.dump(doc, sys.stdout, sort_keys=True, default=encode)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(doc, sort_keys=True, default=encode, allow_nan=False) + "\n")
+
+
+def _emit_rows(key: str, out: np.ndarray, row=None) -> None:
+    """Write {key: rows of out} as _emit would, through the C encoder a
+    block of rows at a time; `row` maps a row list to its JSON value."""
+    sys.stdout.write("{%s: [" % json.dumps(key))
+    for start in range(0, len(out), _BLOCK):
+        block = out[start : start + _BLOCK].tolist()
+        if row is not None:
+            block = list(map(row, block))
+        text = json.dumps(block, sort_keys=True, allow_nan=False)[1:-1]
+        sys.stdout.write(", " + text if start else text)
+    sys.stdout.write("]}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +267,7 @@ def _cmd_convert(args) -> int:
             q = _quat_of(doc["quaternion"], "quaternion")
         else:
             q = quat_from_su2(_pair_of(doc["su2"], "su2"))
-        aa = to_axis_angle(Quaternion(*_renormalized([q.x0, q.x1, q.x2, q.x3], "input")))
+        aa = to_axis_angle(Quaternion(*_unit(list(astuple(q)), "input")))
     theta_out = math.degrees(aa.theta) if args.degrees else aa.theta
     q_out = gq(aa)
     _emit(
@@ -173,19 +289,37 @@ def _cmd_rotate(args) -> int:
     aa = _axis_angle_of(doc["axis_angle"], args.degrees)
     if not isinstance(doc["points"], list):
         raise ParseError("points must be a list")
-    points = [_point_of(p, "point") for p in doc["points"]]
+    points = _rows(doc.pop("points"), 3, "point")
     if args.convention == "bloch":
-        out = []
-        for p in points:
-            n = vector_norm(p.tolist())
-            if n == 0.0:
-                raise DomainError("cannot rotate the origin via the Bloch route")
-            # Bloch routing works on S^2 lifts; scale back afterwards
-            out.append(n * rotate_via_bloch(aa, lift_bloch(p / n)))
+        g = gb(aa)
+        out = _evaluate(
+            points, lambda *p: _rotate_bloch_columns(g, *p), None, lambda p: _rotate_bloch(aa, p)
+        )
     else:
-        out = [rotate(aa, p) for p in points]
-    _emit({"points": out})
+        g = gq(aa)
+        out = _evaluate(
+            points, lambda *p: sandwich(require_unit(g), Quaternion(0.0, *p)), None,
+            lambda p: rotate(aa, p),
+        )
+    _emit_rows("points", out)
     return EXIT_OK
+
+
+def _rotate_bloch(aa: AxisAngle, p: list[float]) -> np.ndarray:
+    n = vector_norm(p)
+    if n == 0.0:
+        raise DomainError("cannot rotate the origin via the Bloch route")
+    if math.isinf(n):  # |p| overflows, and so does the norm of its image
+        return np.full(3, n)
+    # Bloch routing works on S^2 lifts; scale back afterwards
+    return n * rotate_via_bloch(aa, lift_bloch(np.array(p) / n))
+
+
+def _rotate_bloch_columns(g, x, y, z):
+    """_rotate_bloch on point columns, with g = gb(aa)."""
+    n = each(lambda *p: vector_norm(p), x, y, z)
+    h = pair_of_columns(*spherical_lift_columns(x / n, y / n, z / n, 1))
+    return tuple(n * c for c in bloch_columns(act_on_vector(g, h)))
 
 
 def _cmd_hopf(args) -> int:
@@ -194,18 +328,14 @@ def _cmd_hopf(args) -> int:
     if "inputs" not in doc or not isinstance(doc["inputs"], list):
         raise ParseError("hopf needs an inputs list")
     variant = HopfVariant(args.variant)
-    pairs = []
-    for item in doc["inputs"]:
-        if variant is HopfVariant.QUAT:
-            pairs.append(to_complex_pair(_quat_of(item, "input quaternion")))
-        else:
-            pairs.append(_pair_of(item, "input pair"))
-    _emit({"points": [apply_variant(variant, v) for v in pairs]})
+    if variant is HopfVariant.QUAT:
+        rows = _rows(doc.pop("inputs"), 4, "input quaternion")
+    else:
+        rows = _pair_rows(doc.pop("inputs"), "input pair")
+    columns, suspect = HOPF_COLUMNS[variant]
+    out = _evaluate(rows, columns, suspect, lambda r: apply_variant(variant, _pair(r)))
+    _emit_rows("points", out)
     return EXIT_OK
-
-
-def _sphere_point(x, what: str) -> np.ndarray:
-    return np.array(_renormalized(_reals(x, 3, what), what))
 
 
 def _cmd_lift(args) -> int:
@@ -213,8 +343,16 @@ def _cmd_lift(args) -> int:
     _reject_unknown(doc, {"points"})
     if "points" not in doc or not isinstance(doc["points"], list):
         raise ParseError("lift needs a points list")
-    lift = LIFTS[HopfVariant(args.variant)]
-    _emit({"lifts": [lift(_sphere_point(p, "point")) for p in doc["points"]]})
+    variant = HopfVariant(args.variant)
+    points = _sphere_rows(doc.pop("points"), "point")
+    lift = LIFTS[variant]
+    columns, suspect = LIFT_COLUMNS[variant]
+    if variant is HopfVariant.QUAT:
+        out = _evaluate(points, columns, suspect, lambda p: astuple(lift(p)))
+        _emit_rows("lifts", out)
+    else:
+        out = _evaluate(points, columns, suspect, lambda p: astuple(from_complex_pair(lift(p))))
+        _emit_rows("lifts", out, lambda r: {"z": r[:2], "w": r[2:]})
     return EXIT_OK
 
 
@@ -224,7 +362,7 @@ def _cmd_fiber(args) -> int:
     if "base" not in doc:
         raise ParseError("fiber needs a base point")
     variant = HopfVariant(args.variant)
-    base = _sphere_point(doc["base"], "base")
+    base = np.array(_unit(_reals(doc["base"], 3, "base"), "base"))
     lifts = fiber_sample(variant, base, args.count)
     max_err = max(
         vector_norm((apply_variant(variant, v) - base).tolist()) for v in lifts

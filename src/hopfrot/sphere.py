@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotUnit, ZeroVector
-from .quat import EPS_NORM, ComplexPair
+from .quat import EPS_NORM, ComplexPair, where
 
 EPS_PROJ = 1e-9
 
@@ -68,11 +68,17 @@ def project(v: ComplexPair) -> ProjectivePoint:
     """Canonical projection C^2 \\ {0} -> P^1."""
     if abs(v.z) <= EPS_NORM and abs(v.w) <= EPS_NORM:
         raise ZeroVector("cannot project the zero vector")
+    return ProjectivePoint(canonical(v))
+
+
+def canonical(v: ComplexPair) -> ComplexPair:
+    """The canonical representative of the class of v != 0 (a pair of
+    numbers or of complex columns)."""
     n = v.norm()
     z, w = v.z / n, v.w / n
-    pivot = w if abs(w) > EPS_NORM else z
+    pivot = where(abs(w) > EPS_NORM, w, z)
     phase = pivot / abs(pivot)
-    return ProjectivePoint(ComplexPair(z / phase, w / phase))
+    return ComplexPair(z / phase, w / phase)
 
 
 def proj_eq(p: ProjectivePoint, q: ProjectivePoint) -> bool:
@@ -127,11 +133,17 @@ def stereo3_inv(u: ExtendedComplex) -> np.ndarray:
     if u.is_infinity:
         return np.array([0.0, 0.0, 1.0])
     a, b = u.finite.real, u.finite.imag
-    r2 = a * a + b * b
-    if math.isinf(r2):
+    if math.isinf(a * a + b * b):
         return np.array([0.0, 0.0, 1.0])
+    return np.array(stereo3_inv_parts(a, b))
+
+
+def stereo3_inv_parts(a, b):
+    """The inverse of stereo3 at a + ib, on real parts (numbers or
+    columns); NaN where a^2 + b^2 overflows (the point is the pole)."""
+    r2 = a * a + b * b
     d = r2 + 1.0
-    return np.array([2.0 * a / d, 2.0 * b / d, (r2 - 1.0) / d])
+    return 2.0 * a / d, 2.0 * b / d, (r2 - 1.0) / d
 
 
 def stereo1_inv(u: ExtendedComplex) -> np.ndarray:

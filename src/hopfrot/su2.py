@@ -40,7 +40,8 @@ def su2_multiply(a: SU2Matrix, b: SU2Matrix) -> SU2Matrix:
 
 
 def act_on_vector(g: SU2Matrix, v: ComplexPair) -> ComplexPair:
-    """Matrix-times-vector action of SU(2) on C^2 (norm preserving)."""
+    """Matrix-times-vector action of SU(2) on C^2 (norm preserving); v
+    may be a pair of complex columns."""
     return ComplexPair(
         g.z * v.z + g.w * v.w,
         -g.w.conjugate() * v.z + g.z.conjugate() * v.w,

@@ -6,11 +6,19 @@ byte determinism, however many tests replay it.
 """
 
 import functools
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import hopfrot
+
 GOLDEN = Path(__file__).parent / "golden"
+# the child runs the package this session imports, installed or not
+CHILD_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(filter(None, [str(Path(hopfrot.__file__).parents[1]), os.environ.get("PYTHONPATH")])),
+)
 
 CONVERT_IN = '{"axis_angle": {"theta": 1.5707963267948966, "axis": [0, 0, 1]}}\n'
 ROTATE_IN = (
@@ -38,6 +46,7 @@ def run_cli(args, stdin=""):
         input=stdin,
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
 
 
