@@ -26,11 +26,9 @@ import numpy as np
 
 from .errors import DomainError, UnknownCheck
 from .hopf import (
-    HOPF_COLUMNS,
-    LIFT_COLUMNS,
     LIFTS,
+    MAPS,
     HopfVariant,
-    apply_variant,
     bloch_columns,
     fiber_sample,
     lift_bloch,
@@ -44,6 +42,7 @@ from .quat import (
     from_complex_pair,
     pair_of_columns,
     require_unit,
+    to_complex_pair,
     vector_norm,
 )
 from .rotations import AxisAngle, gb, gq, rotate, rotate_via_bloch, to_axis_angle
@@ -108,22 +107,13 @@ def _reals(x, n: int, what: str) -> list[float]:
     return [_real(c, what) for c in x]
 
 
-def _complex_of(x, what: str) -> complex:
-    re, im = _reals(x, 2, what)
-    return complex(re, im)
-
-
 def _pair_of(x, what: str) -> ComplexPair:
     if not isinstance(x, dict):
         raise ParseError(f"{what} must be an object with z and w")
     _reject_unknown(x, {"z", "w"})
     if "z" not in x or "w" not in x:
         raise ParseError(f"{what} must have both z and w")
-    return ComplexPair(_complex_of(x["z"], f"{what}.z"), _complex_of(x["w"], f"{what}.w"))
-
-
-def _quat_of(x, what: str) -> Quaternion:
-    return Quaternion(*_reals(x, 4, what))
+    return ComplexPair(*(complex(*_reals(x[k], 2, f"{what}.{k}")) for k in "zw"))
 
 
 def _bulk(rows: list, width: int) -> np.ndarray | None:
@@ -145,23 +135,21 @@ def _rows(items: list, width: int, what: str) -> np.ndarray:
     """Decode rows of `width` numbers into an (N, width) float64 array; a
     bad row raises its own error, the first one in input order."""
     arr = _bulk(items, width)
-    if arr is None:
-        arr = np.array([_reals(x, width, what) for x in items], dtype=np.float64)
-    return arr.reshape(-1, width)
+    if arr is None:  # some row is bad
+        for x in items:
+            _reals(x, width, what)
+    return arr
 
 
 def _pair_rows(items: list, what: str) -> np.ndarray:
     """Decode complex pairs into (N, 4) rows (Re z, Im z, Re w, Im w)."""
+    arr = None
     if all(type(x) is dict and x.keys() == {"z", "w"} for x in items):
         arr = _bulk([c for x in items for c in (x["z"], x["w"])], 2)
-        if arr is not None:
-            return arr.reshape(-1, 4)
-    pairs = [from_complex_pair(_pair_of(x, what)) for x in items]
-    return np.array([astuple(q) for q in pairs], dtype=np.float64).reshape(-1, 4)
-
-
-def _pair(row: list) -> ComplexPair:
-    return ComplexPair(complex(row[0], row[1]), complex(row[2], row[3]))
+    if arr is None:  # some pair is bad
+        for x in items:
+            _pair_of(x, what)
+    return arr.reshape(-1, 4)
 
 
 def _renormalized(rows: np.ndarray, what: str) -> np.ndarray:
@@ -186,7 +174,8 @@ def _sphere_rows(items: list, what: str) -> np.ndarray:
     turn."""
     arr = _bulk(items, 3)
     if arr is None:  # some row is bad
-        return np.array([_unit(_reals(x, 3, what), what) for x in items]).reshape(-1, 3)
+        for x in items:
+            _unit(_reals(x, 3, what), what)
     del items  # free the parsed rows before the norms are taken
     return _renormalized(arr, what)
 
@@ -264,7 +253,7 @@ def _cmd_convert(args) -> int:
         aa = _axis_angle_of(doc["axis_angle"], args.degrees)
     else:
         if given[0] == "quaternion":
-            q = _quat_of(doc["quaternion"], "quaternion")
+            q = Quaternion(*_reals(doc["quaternion"], 4, "quaternion"))
         else:
             q = quat_from_su2(_pair_of(doc["su2"], "su2"))
         aa = to_axis_angle(Quaternion(*_unit(list(astuple(q)), "input")))
@@ -332,8 +321,11 @@ def _cmd_hopf(args) -> int:
         rows = _rows(doc.pop("inputs"), 4, "input quaternion")
     else:
         rows = _pair_rows(doc.pop("inputs"), "input pair")
-    columns, suspect = HOPF_COLUMNS[variant]
-    out = _evaluate(rows, columns, suspect, lambda r: apply_variant(variant, _pair(r)))
+    hopf = MAPS[variant]
+    # quaternion rows and pair rows both hold (Re z, Im z, Re w, Im w)
+    out = _evaluate(
+        rows, hopf.columns, hopf.redo, lambda r: hopf.scalar(to_complex_pair(Quaternion(*r)))
+    )
     _emit_rows("points", out)
     return EXIT_OK
 
@@ -346,12 +338,13 @@ def _cmd_lift(args) -> int:
     variant = HopfVariant(args.variant)
     points = _sphere_rows(doc.pop("points"), "point")
     lift = LIFTS[variant]
-    columns, suspect = LIFT_COLUMNS[variant]
     if variant is HopfVariant.QUAT:
-        out = _evaluate(points, columns, suspect, lambda p: astuple(lift(p)))
+        out = _evaluate(points, lift.columns, lift.redo, lambda p: astuple(lift.scalar(p)))
         _emit_rows("lifts", out)
     else:
-        out = _evaluate(points, columns, suspect, lambda p: astuple(from_complex_pair(lift(p))))
+        out = _evaluate(
+            points, lift.columns, lift.redo, lambda p: astuple(from_complex_pair(lift.scalar(p)))
+        )
         _emit_rows("lifts", out, lambda r: {"z": r[:2], "w": r[2:]})
     return EXIT_OK
 
@@ -364,9 +357,8 @@ def _cmd_fiber(args) -> int:
     variant = HopfVariant(args.variant)
     base = np.array(_unit(_reals(doc["base"], 3, "base"), "base"))
     lifts = fiber_sample(variant, base, args.count)
-    max_err = max(
-        vector_norm((apply_variant(variant, v) - base).tolist()) for v in lifts
-    )
+    hopf = MAPS[variant].scalar
+    max_err = max(vector_norm((hopf(v) - base).tolist()) for v in lifts)
     if variant is HopfVariant.QUAT:
         lifts = [from_complex_pair(v) for v in lifts]
     _emit({"lifts": lifts, "roundtrip_max_error": max_err})
@@ -403,6 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Hopf maps, rotation conventions, and identity verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    variants = [v.value for v in HopfVariant]
 
     def add_common(p):
         p.add_argument("--in", dest="infile", metavar="FILE", default=None,
@@ -421,17 +414,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hopf", help="apply a Hopf map to inputs")
     add_common(p)
-    p.add_argument("--variant", choices=["classic", "quat", "bloch"], required=True)
+    p.add_argument("--variant", choices=variants, required=True)
     p.set_defaults(func=_cmd_hopf)
 
     p = sub.add_parser("lift", help="canonical preimages of sphere points")
     add_common(p)
-    p.add_argument("--variant", choices=["classic", "quat", "bloch"], required=True)
+    p.add_argument("--variant", choices=variants, required=True)
     p.set_defaults(func=_cmd_lift)
 
     p = sub.add_parser("fiber", help="sample the fiber circle over a base point")
     add_common(p)
-    p.add_argument("--variant", choices=["classic", "quat", "bloch"], required=True)
+    p.add_argument("--variant", choices=variants, required=True)
     p.add_argument("--count", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_fiber)
 

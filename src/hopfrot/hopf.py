@@ -7,7 +7,7 @@ g -> g i g*; the Bloch map is the physicist's state-to-sphere projection
 
 Each map and lift also has a column form (`*_columns`), which evaluates it
 on float64 component columns with the scalar function's own formulas but
-without its guards and branches; see `HOPF_COLUMNS`.
+without its guards and branches; see `MAPS` and `LIFTS`.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -79,11 +80,7 @@ def bloch(v: ComplexPair) -> np.ndarray:
 
     Scale invariant, hence defined on all of C^2 minus the origin.
     """
-    try:
-        zero = abs(v.z) <= EPS_NORM and abs(v.w) <= EPS_NORM
-    except OverflowError:  # |z| beyond the float range
-        zero = False
-    if zero:
+    if v.z == 0 and v.w == 0:
         raise ZeroVector("Bloch projection of the zero vector")
     return stereo3_inv(ext_conjugate(ratio(v.z, v.w)))
 
@@ -102,11 +99,11 @@ def hopf_classic(v: ComplexPair) -> np.ndarray:
     return stereo3_inv(chart(project(v)))
 
 
-def hopf_classic_columns(v: ComplexPair):
-    """hopf_classic on a pair of complex columns, as component columns,
-    without the unit check; rows where the representative's w = 0 or z/w
-    is too large to square come out NaN or infinite."""
-    rep = canonical(v)
+def hopf_classic_columns(*v):
+    """hopf_classic on component columns (Re z, Im z, Re w, Im w), without
+    the unit check; rows where the representative's w = 0 or z/w is too
+    large to square come out NaN or infinite."""
+    rep = canonical(pair_of_columns(*v))
     u = rep.z / rep.w
     return stereo3_inv_parts(u.real, u.imag)
 
@@ -187,16 +184,9 @@ def _quat_lift(x, y, z, s):
 
 
 def lift_quat_hopf_columns(x, y, z):
-    """lift_quat_hopf on point columns; rows at the pinned bases come out
-    wrong (LIFT_COLUMNS flags them)."""
-    return _quat_lift(x, y, z, each(_axis_norm, y, z))
-
-
-LIFTS = {
-    HopfVariant.CLASSIC: lift_classic,
-    HopfVariant.QUAT: lift_quat_hopf,
-    HopfVariant.BLOCH: lift_bloch,
-}
+    """lift_quat_hopf on point columns; the rows it pins come out NaN."""
+    s = each(_axis_norm, y, z)
+    return _quat_lift(x, y, z, np.where(s <= EPS_NORM, np.nan, s))
 
 
 def fiber_sample(variant: HopfVariant, base, count: int) -> list[ComplexPair]:
@@ -209,7 +199,7 @@ def fiber_sample(variant: HopfVariant, base, count: int) -> list[ComplexPair]:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    lift = LIFTS[variant](base)
+    lift = LIFTS[variant].scalar(base)
     out: list[ComplexPair] = []
     for m in range(count):
         t = 2.0 * math.pi * m / count
@@ -221,41 +211,35 @@ def fiber_sample(variant: HopfVariant, base, count: int) -> list[ComplexPair]:
     return out
 
 
-def apply_variant(variant: HopfVariant, v: ComplexPair) -> np.ndarray:
-    """Evaluate the selected Hopf map on a C^2 point."""
-    if variant is HopfVariant.QUAT:
-        return quat_hopf(from_complex_pair(v))
-    if variant is HopfVariant.BLOCH:
-        return bloch(v)
-    return hopf_classic(v)
-
-
 def _maybe_off_unit(*cols):
     """Rows whose norm may be off 1 by more than EPS_NORM (a margin below
     every unit check in the package)."""
     return abs(sum(c * c for c in cols) - 1.0) > EPS_NORM
 
 
-def _maybe_zero(*cols):
-    return np.logical_and.reduce([abs(c) <= EPS_NORM for c in cols])
+class Forms(NamedTuple):
+    """A map's scalar function, its column form and the mask (or None) of
+    rows at a guard of `scalar` where `columns` may still be finite.  Those
+    rows, and rows whose column result is not finite, need `scalar`."""
+
+    scalar: Callable
+    columns: Callable
+    redo: Callable | None
 
 
-def _maybe_pinned(x, y, z):
-    return y * y + z * z <= 2.0 * EPS_NORM**2
-
-
-# variant -> (the map on component columns of S^3 inputs, then of S^2
-# points for the lift; the mask of rows that may meet a guard or branch of
-# the scalar function).  Those rows, and rows whose result is not finite,
-# must be evaluated again by the scalar function.  Inputs to the lifts are
-# unit points to rounding, which pass require_sphere.
-HOPF_COLUMNS = {
-    HopfVariant.CLASSIC: (lambda *v: hopf_classic_columns(pair_of_columns(*v)), _maybe_off_unit),
-    HopfVariant.QUAT: (lambda *g: sandwich(Quaternion(*g), I), _maybe_off_unit),
-    HopfVariant.BLOCH: (lambda *v: bloch_columns(pair_of_columns(*v)), _maybe_zero),
+# the Hopf maps of a ComplexPair, on columns of (Re z, Im z, Re w, Im w);
+# the lifts of a unit point, on columns of (x, y, z) that are unit to
+# rounding (so the columns skip require_sphere, which they would pass)
+MAPS = {
+    HopfVariant.CLASSIC: Forms(hopf_classic, hopf_classic_columns, _maybe_off_unit),
+    HopfVariant.QUAT: Forms(
+        lambda v: quat_hopf(from_complex_pair(v)), lambda *g: sandwich(Quaternion(*g), I),
+        _maybe_off_unit,
+    ),
+    HopfVariant.BLOCH: Forms(bloch, lambda *v: bloch_columns(pair_of_columns(*v)), None),
 }
-LIFT_COLUMNS = {
-    HopfVariant.CLASSIC: (lambda x, y, z: spherical_lift_columns(x, y, z, -1), None),
-    HopfVariant.QUAT: (lift_quat_hopf_columns, _maybe_pinned),
-    HopfVariant.BLOCH: (lambda x, y, z: spherical_lift_columns(x, y, z, 1), None),
+LIFTS = {
+    HopfVariant.CLASSIC: Forms(lift_classic, lambda *p: spherical_lift_columns(*p, -1), None),
+    HopfVariant.QUAT: Forms(lift_quat_hopf, lift_quat_hopf_columns, None),
+    HopfVariant.BLOCH: Forms(lift_bloch, lambda *p: spherical_lift_columns(*p, 1), None),
 }

@@ -45,9 +45,6 @@ class Quaternion:
     def __neg__(self) -> "Quaternion":
         return Quaternion(-self.x0, -self.x1, -self.x2, -self.x3)
 
-    def scale(self, s: float) -> "Quaternion":
-        return Quaternion(s * self.x0, s * self.x1, s * self.x2, s * self.x3)
-
 
 @dataclass(frozen=True)
 class ComplexPair:

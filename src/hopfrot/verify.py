@@ -33,7 +33,7 @@ from .quat import (
     transpose_map,
     vector_norm,
 )
-from .rotations import AxisAngle, gb, gq, matvec_as_quat, reconcile, rotate
+from .rotations import AxisAngle, gb, matvec_as_quat, reconcile, rotate
 from .sphere import (
     INFINITY,
     ExtendedComplex,
@@ -82,7 +82,8 @@ class CheckReport:
     resampled: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        finite = math.isfinite(self.max_deviation)  # strict JSON has no NaN or Infinity
+        return dict(asdict(self), max_deviation=self.max_deviation if finite else None)
 
 
 def encode(x):
@@ -108,7 +109,7 @@ def encode(x):
 def _unit_quat(rng) -> Quaternion:
     v = rng.standard_normal(4)
     v /= vector_norm(v.tolist())
-    return Quaternion(*v)
+    return Quaternion(*v.tolist())
 
 
 def _unit_pair(rng) -> ComplexPair:
@@ -335,9 +336,9 @@ def run_check(check: DiagramCheck) -> CheckReport:
                 raise RuntimeError(f"check {check.name}: sampler stuck near a pole")
             result = fn(rng)
         dev, sample = result
-        if dev > check.tolerance:
+        if not dev <= check.tolerance:  # NaN and infinity fail too
             failures += 1
-        if dev >= max_dev:
+        if dev >= max_dev or not math.isfinite(dev):  # and outrank every finite deviation
             max_dev = dev
             worst = json.dumps(sample, sort_keys=True, default=encode)
     return CheckReport(check.name, check.samples, max_dev, failures, worst, resampled)

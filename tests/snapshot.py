@@ -1,0 +1,345 @@
+"""Byte snapshot of the CLI: exit code, stdout and stderr for a fixed corpus.
+
+    python tests/snapshot.py SRC_DIR > snapshot.txt
+
+imports hopfrot from SRC_DIR and runs `hopfrot.cli.main` in process on
+
+- the batch documents of tests/test_batch.py (seeds 1 and 2);
+- the cli-batch benchmark documents (seeds 1-3, --points rows each);
+- a seeded corpus of malformed and edge documents for all six
+  subcommands (--edge documents);
+- `verify` over the whole catalog at --samples samples (seeds 0, 1, 7).
+
+The documents are built with numpy and the standard library alone, never
+with hopfrot, so the script runs against any version of the sources, and
+`diff` of two runs compares two versions byte for byte.  Long outputs
+are printed as their length and SHA-256.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import json
+import math
+import random
+import sys
+
+import numpy as np
+
+ROWS = 300  # rows per batch document
+
+CHECKS = [
+    "rephrase", "quat-identification", "template-classic", "template-quat",
+    "template-bloch", "compare-bloch-quat", "odot-lemma", "reconcile",
+    "derivation-16-18", "final-diagram", "iso-su2-quat", "fiber-invariance",
+]
+VARIANTS = ["classic", "quat", "bloch"]
+
+
+def run_main(argv, stdin):
+    """cli.main in process: (exit code, stdout, stderr)."""
+    from hopfrot import cli  # here, after main() has put SRC_DIR on sys.path
+
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(stdin), io.StringIO(), io.StringIO()
+    try:
+        code = cli.main(argv)
+        return code, sys.stdout.getvalue(), sys.stderr.getvalue()
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+
+
+# -- the batch documents of tests/test_batch.py ---------------------------------
+
+
+def unit_rows(rng, n, k):
+    v = rng.standard_normal((n, k))
+    return (v / np.sqrt((v * v).sum(axis=1, keepdims=True))).tolist()
+
+
+def sphere_rows(rng, band):
+    """Points of S^2: poles of both stereographic projections, signed
+    zeros, the lift's pinned bases and rows near them, rows off unit norm
+    within `band`, and random rows."""
+    special = [
+        [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.0, -0.0, 1.0], [0.0, -0.0, -1.0],
+        [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [1.0, -0.0, 0.0], [-1.0, 0.0, -0.0],
+        [0.0, 1.0, 0.0], [-0.0, -1.0, 0.0], [0.6, -0.0, 0.8], [-0.6, 0.0, -0.8],
+        [1.0, 1e-12, 0.0], [-1.0, 0.0, 3e-10], [0.6, 0.8, 0.0],
+    ]
+    rows = special + unit_rows(rng, ROWS - len(special), 3)
+    for i in rng.choice(len(rows), ROWS // 3, replace=False):
+        rows[i] = [c * (1.0 + float(rng.uniform(-band, band))) for c in rows[i]]
+    rng.shuffle(rows)
+    return rows
+
+
+def s3_rows(rng):
+    """Points of S^3 (scalar first): w = 0 and z = 0 rows (the poles of the
+    classic and Bloch maps), the preimages of (+-1, 0, 0) under the
+    quaternion map, signed zeros, rows off unit norm within a third of the
+    unit checks' tolerance, and random rows."""
+    special = [
+        [1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, -0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+        [0.6, 0.8, 0.0, -0.0], [0.0, -0.0, 0.6, 0.8], [-0.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, -0.0], [1e-12, 0.0, 1.0, 0.0],
+        [0.7071067811865476, 0.0, 0.7071067811865476, 0.0], [1.0, 1e-300, -0.0, 5e-324],
+    ]
+    rows = special + unit_rows(rng, ROWS - len(special), 4)
+    for i in rng.choice(len(rows), ROWS // 3, replace=False):
+        rows[i] = [c * (1.0 + float(rng.uniform(-3e-10, 3e-10))) for c in rows[i]]
+    rng.shuffle(rows)
+    return rows
+
+
+def rotate_doc(convention, rng):
+    axis = [0.0, 0.0, 1.0] if rng.random() < 0.5 else unit_rows(rng, 1, 3)[0]
+    theta = float(rng.uniform(-7.0, 7.0))
+    return {"axis_angle": {"theta": theta, "axis": axis}, "points": sphere_rows(rng, 1e-6)}
+
+
+def hopf_doc(variant, rng):
+    rows = s3_rows(rng)
+    if variant == "quat":
+        return {"inputs": rows}
+    return {"inputs": [{"z": r[:2], "w": r[2:]} for r in rows]}
+
+
+def lift_doc(variant, rng):
+    return {"points": sphere_rows(rng, 1e-6)}
+
+
+BATCH = [
+    (["rotate", "--convention", "quat"], rotate_doc),
+    (["rotate", "--convention", "bloch"], rotate_doc),
+    *((["hopf", "--variant", v], hopf_doc) for v in VARIANTS),
+    *((["lift", "--variant", v], lift_doc) for v in VARIANTS),
+]
+
+
+def batch_document(index, seed):
+    """(argv, document) of test_batch's case `index` at `seed`."""
+    argv, build = BATCH[index]
+    return argv, build(argv[2], np.random.default_rng([seed, index]))
+
+
+# -- the cli-batch benchmark documents (as bench/workloads.py builds them) -------
+
+
+def cli_batch_cases(seed, points):
+    rng = np.random.default_rng(seed)
+
+    def unit(n, k):
+        v = rng.standard_normal((n, k))
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+    pts = unit(points, 3).tolist()
+    quats = unit(points, 4).tolist()
+    theta = float(rng.uniform(0.0, 2.0 * math.pi))
+    axis = unit(1, 3)[0].tolist()
+    rotate = {"axis_angle": {"theta": theta, "axis": axis}, "points": pts}
+    pairs = {"inputs": [{"z": q[:2], "w": q[2:]} for q in quats]}
+    return [
+        (["rotate", "--convention", "quat"], rotate),
+        (["rotate", "--convention", "bloch"], rotate),
+        (["hopf", "--variant", "classic"], pairs),
+        (["hopf", "--variant", "quat"], {"inputs": quats}),
+        (["hopf", "--variant", "bloch"], pairs),
+        *((["lift", "--variant", v], {"points": pts}) for v in VARIANTS),
+    ]
+
+
+# -- malformed and edge documents ------------------------------------------------
+
+NUMBERS = [
+    0.0, -0.0, 1.0, -1.0, 0.6, 0.8, 0.7071067811865476, 1e-10, 1e-200, 5e-324,
+    1.0000001, 1.000002, 1.7e308, 1e200, 1e154, 3, 0, 1,
+]
+JUNK = [math.nan, math.inf, -math.inf, 10**400, True, False, None, "1", [], {}]
+SPHERE = [
+    [0, 0, 1], [0, 0, -1], [1, 0, 0], [-1, 0, 0], [-0.0, -0.0, 1.0], [1.0, -0.0, 0.0],
+    [0.6, 0.8, 0], [0.6, -0.0, 0.8], [1.0, 1e-12, 0.0], [-1.0, 0.0, 3e-10],
+]
+S3 = [
+    [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0.0, -0.0, -0.0, 0.0], [1e-10, 0, 1e-10, 0],
+    [1e-200, 0, 1e-200, 0], [5e-324, 0, 0, 0], [0, 0, 5e-324, 0], [0.6, 0.8, 0, -0.0],
+    [0.7071067811865476, 0, 0.7071067811865476, 0], [1.0, 1e-300, -0.0, 5e-324],
+]
+
+
+def _number(rng):
+    u = rng.random()
+    if u < 0.8:
+        return rng.choice(NUMBERS) * rng.choice([1, -1])
+    if u < 0.9:
+        return rng.uniform(-2.0, 2.0)
+    return rng.choice(JUNK)
+
+
+def _row(rng, k):
+    u = rng.random()
+    if u < 0.5:
+        base = rng.choice(SPHERE if k == 3 else S3 if k == 4 else [[1, 0], [0, 0], [0.6, 0.8]])
+        if rng.random() < 0.3:  # off unit norm, inside or outside a band
+            f = 1.0 + rng.choice([-1, 1]) * rng.choice([3e-10, 2e-9, 5e-7, 2e-6])
+            base = [c * f for c in base]
+        elif rng.random() < 0.2:  # tiny or huge
+            f = rng.choice([1e-200, 1e-170, 5e-300, 1e154, 1e300])
+            base = [c * f for c in base]
+        return list(base)
+    if u < 0.65:
+        v = [rng.gauss(0.0, 1.0) for _ in range(k)]
+        n = math.sqrt(sum(c * c for c in v))
+        return [c / n for c in v]
+    if u < 0.9:
+        return [_number(rng) for _ in range(k)]
+    if u < 0.95:
+        return [_number(rng) for _ in range(rng.choice([0, k - 1, k + 1]))]
+    return rng.choice(JUNK)
+
+
+def _pair(rng):
+    u = rng.random()
+    if u < 0.5:
+        r = _row(rng, 4)
+        if type(r) is list and len(r) == 4:
+            return {"z": r[:2], "w": r[2:]}
+        return {"z": r, "w": _row(rng, 2)}
+    if u < 0.85:
+        return {"z": _row(rng, 2), "w": _row(rng, 2)}
+    if u < 0.9:
+        return {"z": _row(rng, 2)}
+    if u < 0.95:
+        return {"z": [1, 0], "w": [0, 0], "x": 1}
+    return rng.choice(JUNK)
+
+
+def _rows(rng, make):
+    return [make() for _ in range(rng.choice([0, 1, 2, 3, 5, 8]))]
+
+
+def _axis_angle(rng):
+    aa = {"theta": _number(rng) if rng.random() < 0.3 else rng.uniform(-7.0, 7.0), "axis": _row(rng, 3)}
+    u = rng.random()
+    if u < 0.05:
+        del aa["axis"]
+    elif u < 0.1:
+        aa["extra"] = 1
+    return aa if rng.random() < 0.97 else rng.choice(JUNK)
+
+
+def edge_case(rng):
+    """One malformed or edge case: (argv, stdin text)."""
+    command = rng.choice(["convert", "rotate", "hopf", "lift", "fiber", "verify"])
+    degrees = ["--degrees"] if rng.random() < 0.2 else []
+    if command == "verify":
+        argv = ["verify", "--samples", str(rng.choice([0, 1, 3, 20])), "--seed", str(rng.randrange(9))]
+        argv += ["--tolerance", rng.choice(["1e-9", "1e-15", "1e-30", "nan", "inf", "0", "-1"])]
+        for name in rng.sample(CHECKS + ["bogus"], rng.choice([1, 2])):
+            argv += ["--check", name]
+        return argv, ""
+    if command == "convert":
+        argv = ["convert", *degrees]
+        forms = {"axis_angle": _axis_angle, "quaternion": lambda r: _row(r, 4), "su2": _pair}
+        keys = rng.sample(sorted(forms), rng.choice([1, 1, 1, 1, 0, 2]))
+        doc = {k: forms[k](rng) for k in keys}
+    elif command == "rotate":
+        argv = ["rotate", "--convention", rng.choice(["quat", "bloch"]), *degrees]
+        doc = {"axis_angle": _axis_angle(rng), "points": _rows(rng, lambda: _row(rng, 3))}
+    elif command == "hopf":
+        variant = rng.choice(VARIANTS)
+        argv = ["hopf", "--variant", variant]
+        make = (lambda: _row(rng, 4)) if (variant == "quat") == (rng.random() < 0.9) else (lambda: _pair(rng))
+        doc = {"inputs": _rows(rng, make)}
+    elif command == "lift":
+        argv = ["lift", "--variant", rng.choice(VARIANTS)]
+        doc = {"points": _rows(rng, lambda: _row(rng, 3))}
+    else:
+        argv = ["fiber", "--variant", rng.choice(VARIANTS), "--count", str(rng.choice([1, 2, 3, 5, 0]))]
+        doc = {"base": _row(rng, 3)}
+    u = rng.random()
+    if u < 0.03:
+        return argv, rng.choice(["", "not json", "[]", "{", '{"points": 5}', '{"inputs": {}}'])
+    if u < 0.06:
+        doc["bogus"] = 1
+    return argv, json.dumps(doc)
+
+
+def edge_cases(n, seed=0):
+    rng = random.Random(seed)
+    hand = [
+        (["hopf", "--variant", "bloch"], '{"inputs": [{"z": [1e-200, 0], "w": [1e-200, 0]}]}'),
+        (["hopf", "--variant", "bloch"], '{"inputs": [{"z": [0, -0.0], "w": [-0.0, 0]}]}'),
+        (["lift", "--variant", "quat"], '{"points": [[0, 0, 1.0000001], [1, 0, 0], [0.6, 0.8, true], [0, 0, 2]]}'),
+        (["hopf", "--variant", "bloch"],
+         '{"inputs": [{"z": [1, 0], "w": [0, 0]}, {"z": [1, 0], "w": [0, NaN]}, {"z": [1], "w": [0, 0]}]}'),
+        (["rotate"], '{"axis_angle": {"theta": 1, "axis": [0, 0, 1]}, "points": [[1, 0, 0], [1, 0], [1, 0, NaN]]}'),
+        (["verify", "--bogus"], ""),
+        (["hopf"], "{}"),
+    ]
+    return hand + [edge_case(rng) for _ in range(n)]
+
+
+# -- the report --------------------------------------------------------------------
+
+_LONG = 2000
+
+
+def _text(label, s):
+    if len(s) <= _LONG:
+        return f"{label}: {s!r}"
+    return f"{label}: {len(s)} chars, sha256 {hashlib.sha256(s.encode()).hexdigest()}"
+
+
+def cases(edge=1000, seed=0, points=20000, samples=300, batch_seeds=(1, 2), bench_seeds=(1, 2, 3)):
+    """Every (label, argv, stdin) of the snapshot; `seed` seeds the edge
+    corpus."""
+    out = []
+    for s in batch_seeds:
+        for i in range(len(BATCH)):
+            argv, doc = batch_document(i, s)
+            out.append((f"batch {i} seed {s}", argv, json.dumps(doc)))
+    for s in bench_seeds:
+        for argv, doc in cli_batch_cases(s, points):
+            out.append((f"cli-batch seed {s}", argv, json.dumps(doc)))
+    for i, (argv, stdin) in enumerate(edge_cases(edge, seed)):
+        out.append((f"edge {i}", argv, stdin))
+    for s in (0, 1, 7):
+        out.append((f"verify seed {s}", ["verify", "--samples", str(samples), "--seed", str(s)], ""))
+    return out
+
+
+def report(**kwargs) -> list[str]:
+    """The snapshot's lines: for each case its label, argv and input, then
+    its exit code (or the exception it raised), stdout and stderr."""
+    lines = []
+    for label, argv, stdin in cases(**kwargs):
+        lines.append(f"## {label} {' '.join(argv)}")
+        lines.append(_text("stdin", stdin))
+        try:
+            code, stdout, stderr = run_main(argv, stdin)
+        except Exception as e:  # a traceback is a result too
+            lines.append(f"raised {type(e).__name__}: {e}")
+            continue
+        lines += [f"exit {code}", _text("stdout", stdout), _text("stderr", stderr)]
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("src", help="directory that holds the hopfrot package")
+    parser.add_argument("--edge", type=int, default=1000, help="edge documents (default 1000)")
+    parser.add_argument("--seed", type=int, default=0, help="seed of the edge corpus (default 0)")
+    parser.add_argument("--points", type=int, default=20000, help="rows per cli-batch document")
+    parser.add_argument("--samples", type=int, default=300, help="verify samples per check")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, args.src)
+    for line in report(edge=args.edge, seed=args.seed, points=args.points, samples=args.samples):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,73 +7,18 @@ documents full of poles, signed zeros and off-unit rows, and that no
 document, however malformed, ends in a traceback or in non-strict JSON.
 """
 
-import io
 import json
 import math
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hopfrot import cli
-from hopfrot.hopf import LIFTS, HopfVariant, apply_variant, lift_bloch
+from hopfrot.hopf import LIFTS, MAPS, HopfVariant, lift_bloch
 from hopfrot.quat import ComplexPair, vector_norm
 from hopfrot.rotations import axis_angle, rotate, rotate_via_bloch
-
-ROWS = 300
-
-
-def run_main(argv, stdin):
-    """cli.main in process: (exit code, stdout, stderr)."""
-    saved = sys.stdin, sys.stdout, sys.stderr
-    sys.stdin, sys.stdout, sys.stderr = io.StringIO(stdin), io.StringIO(), io.StringIO()
-    try:
-        code = cli.main(argv)
-        return code, sys.stdout.getvalue(), sys.stderr.getvalue()
-    finally:
-        sys.stdin, sys.stdout, sys.stderr = saved
-
-
-def unit_rows(rng, n, k):
-    v = rng.standard_normal((n, k))
-    return (v / np.sqrt((v * v).sum(axis=1, keepdims=True))).tolist()
-
-
-def sphere_rows(rng, band):
-    """Points of S^2: poles of both stereographic projections, signed
-    zeros, the lift's pinned bases and rows near them, rows off unit norm
-    within `band`, and random rows."""
-    special = [
-        [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.0, -0.0, 1.0], [0.0, -0.0, -1.0],
-        [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [1.0, -0.0, 0.0], [-1.0, 0.0, -0.0],
-        [0.0, 1.0, 0.0], [-0.0, -1.0, 0.0], [0.6, -0.0, 0.8], [-0.6, 0.0, -0.8],
-        [1.0, 1e-12, 0.0], [-1.0, 0.0, 3e-10], [0.6, 0.8, 0.0],
-    ]
-    rows = special + unit_rows(rng, ROWS - len(special), 3)
-    for i in rng.choice(len(rows), ROWS // 3, replace=False):
-        rows[i] = [c * (1.0 + float(rng.uniform(-band, band))) for c in rows[i]]
-    rng.shuffle(rows)
-    return rows
-
-
-def s3_rows(rng):
-    """Points of S^3 (scalar first): w = 0 and z = 0 rows (the poles of the
-    classic and Bloch maps), the preimages of (+-1, 0, 0) under the
-    quaternion map, signed zeros, rows off unit norm within a third of the
-    unit checks' tolerance, and random rows."""
-    special = [
-        [1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, -0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
-        [0.6, 0.8, 0.0, -0.0], [0.0, -0.0, 0.6, 0.8], [-0.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, -0.0], [1e-12, 0.0, 1.0, 0.0],
-        [0.7071067811865476, 0.0, 0.7071067811865476, 0.0], [1.0, 1e-300, -0.0, 5e-324],
-    ]
-    rows = special + unit_rows(rng, ROWS - len(special), 4)
-    for i in rng.choice(len(rows), ROWS // 3, replace=False):
-        rows[i] = [c * (1.0 + float(rng.uniform(-3e-10, 3e-10))) for c in rows[i]]
-    rng.shuffle(rows)
-    return rows
+from snapshot import BATCH, batch_document, run_main
 
 
 def pair(row):
@@ -92,53 +37,37 @@ def renormalized(p, warnings):
     return [c / n for c in p]
 
 
-def expected_rotate(convention, rng):
-    axis = [0.0, 0.0, 1.0] if rng.random() < 0.5 else unit_rows(rng, 1, 3)[0]
-    theta = float(rng.uniform(-7.0, 7.0))
-    points = sphere_rows(rng, 1e-6)
-    doc = {"axis_angle": {"theta": theta, "axis": axis}, "points": points}
-    aa = axis_angle(theta, axis)
+def expected_rotate(convention, doc):
+    aa = axis_angle(doc["axis_angle"]["theta"], doc["axis_angle"]["axis"])
     one = rotate if convention == "quat" else rotate_bloch_point
-    return doc, {"points": [one(aa, p).tolist() for p in points]}, []
+    return {"points": [one(aa, p).tolist() for p in doc["points"]]}, []
 
 
-def expected_hopf(variant, rng):
-    rows = s3_rows(rng)
+def expected_hopf(variant, doc):
+    rows = doc["inputs"] if variant == "quat" else [r["z"] + r["w"] for r in doc["inputs"]]
     v = HopfVariant(variant)
-    if v is HopfVariant.QUAT:
-        doc = {"inputs": rows}
-    else:
-        doc = {"inputs": [{"z": r[:2], "w": r[2:]} for r in rows]}
-    return doc, {"points": [apply_variant(v, pair(r)).tolist() for r in rows]}, []
+    return {"points": [MAPS[v].scalar(pair(r)).tolist() for r in rows]}, []
 
 
-def expected_lift(variant, rng):
-    points = sphere_rows(rng, 1e-6)
+def expected_lift(variant, doc):
     warnings = []
-    lifted = [LIFTS[HopfVariant(variant)](renormalized(p, warnings)) for p in points]
+    lift = LIFTS[HopfVariant(variant)].scalar
+    lifted = [lift(renormalized(p, warnings)) for p in doc["points"]]
     if variant == "quat":
         out = [[q.x0, q.x1, q.x2, q.x3] for q in lifted]
     else:
         out = [{"z": [v.z.real, v.z.imag], "w": [v.w.real, v.w.imag]} for v in lifted]
-    return {"points": points}, {"lifts": out}, warnings
+    return {"lifts": out}, warnings
 
 
-CASES = [
-    (["rotate", "--convention", "quat"], expected_rotate),
-    (["rotate", "--convention", "bloch"], expected_rotate),
-    (["hopf", "--variant", "classic"], expected_hopf),
-    (["hopf", "--variant", "quat"], expected_hopf),
-    (["hopf", "--variant", "bloch"], expected_hopf),
-    (["lift", "--variant", "classic"], expected_lift),
-    (["lift", "--variant", "quat"], expected_lift),
-    (["lift", "--variant", "bloch"], expected_lift),
-]
+EXPECTED = {"rotate": expected_rotate, "hopf": expected_hopf, "lift": expected_lift}
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("argv,expected", CASES, ids=[" ".join(a[:3:2]) for a, _ in CASES])
-def test_batch_matches_scalar_calls(argv, expected, seed):
-    doc, out, warnings = expected(argv[2], np.random.default_rng([seed, CASES.index((argv, expected))]))
+@pytest.mark.parametrize("index", range(len(BATCH)), ids=[" ".join(a[:3:2]) for a, _ in BATCH])
+def test_batch_matches_scalar_calls(index, seed):
+    argv, doc = batch_document(index, seed)
+    out, warnings = EXPECTED[argv[0]](argv[2], doc)
     code, stdout, stderr = run_main(argv, json.dumps(doc))
     assert code == 0, stderr
     # float reprs are the JSON numbers, so equal text is equal bits
@@ -153,6 +82,34 @@ def test_overflow_is_a_domain_error(convention):
     assert code == 3
     assert stdout == ""
     assert stderr == "error: row 1 [1.7e+308, 1.7e+308, 1.7e+308]: the result overflows the float range\n"
+
+
+def test_tiny_bloch_states_are_projected():
+    one = run_main(["hopf", "--variant", "bloch"], '{"inputs":[{"z":[1,0],"w":[1,0]}]}')
+    tiny = run_main(["hopf", "--variant", "bloch"], '{"inputs":[{"z":[1e-200,0],"w":[1e-200,0]}]}')
+    assert tiny == one == (0, '{"points": [[1.0, -0.0, 0.0]]}\n', "")
+    zero = run_main(["hopf", "--variant", "bloch"], '{"inputs":[{"z":[0,-0.0],"w":[-0.0,0]}]}')
+    assert zero == (3, "", "error: Bloch projection of the zero vector\n")
+
+
+@pytest.mark.parametrize(
+    "argv,doc,stderr",
+    [
+        (["lift", "--variant", "quat"], '{"points":[[0,0,1.0000001],[1,0,0],[0.6,0.8,true],[0,0,2]]}',
+         "warning: renormalizing point (norm 1.0000001)\nerror: point must be a number\n"),
+        (["hopf", "--variant", "bloch"],
+         '{"inputs":[{"z":[1,0],"w":[0,0]},{"z":[1,0],"w":[0,NaN]},{"z":[1],"w":[0,0]}]}',
+         "error: input pair.w must be finite\n"),
+        (["rotate"], '{"axis_angle":{"theta":1,"axis":[0,0,1]},"points":[[1,0,0],[1,0],[1,0,NaN]]}',
+         "error: point must be a list of 3 numbers\n"),
+    ],
+    ids=["lift", "hopf", "rotate"],
+)
+def test_first_bad_row_reports_its_error(argv, doc, stderr):
+    # the warnings of the rows before it come first, as one scalar call per row prints them
+    code, stdout, err = run_main(argv, doc)
+    assert (stdout, err) == ("", stderr)
+    assert code == (3 if argv[0] == "hopf" else 2)
 
 
 def test_conventions_agree_on_huge_points():

@@ -24,7 +24,7 @@ from hopfrot import (
     to_complex_pair,
     transpose_map,
 )
-from hopfrot.hopf import apply_variant
+from hopfrot.hopf import MAPS
 from hopfrot.quat import J, K, ONE
 from hopfrot.sphere import finite
 
@@ -106,6 +106,15 @@ class TestBloch:
     def test_zero_rejected(self):
         with pytest.raises(ZeroVector):
             bloch(ComplexPair(0, 0))
+        with pytest.raises(ZeroVector):
+            bloch(ComplexPair(complex(0.0, -0.0), complex(-0.0, 0.0)))
+
+    def test_tiny_states_are_not_zero(self):
+        # scale invariance holds down to the smallest subnormal
+        tiny = bloch(ComplexPair(1e-200 + 0j, 1e-200 + 0j))
+        assert tiny.tobytes() == bloch(ComplexPair(1 + 0j, 1 + 0j)).tobytes()
+        assert bloch(ComplexPair(5e-324 + 0j, 0j)).tolist() == [0.0, 0.0, 1.0]
+        assert bloch(ComplexPair(0j, 5e-324 + 0j)).tolist() == [0.0, 0.0, -1.0]
 
 
 class TestHopfClassic:
@@ -210,7 +219,7 @@ class TestFiberSample:
         for _ in range(50):
             p = random_sphere(RNG)
             for v in fiber_sample(variant, p, 5):
-                np.testing.assert_allclose(apply_variant(variant, v), p, atol=1e-9)
+                np.testing.assert_allclose(MAPS[variant].scalar(v), p, atol=1e-9)
 
 
 class TestDiagrams:

@@ -1,8 +1,12 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
-from hopfrot import CATALOG, CheckReport, DiagramCheck, UnknownCheck, run_all, run_check
+from hopfrot import CATALOG, CheckReport, DiagramCheck, UnknownCheck, run_all, run_check, verify
 from hopfrot.verify import _nonzero_pair, _unit_quat, subseed
+from snapshot import run_main
 
 EXPECTED_CATALOG = [
     "rephrase",
@@ -91,3 +95,26 @@ def test_unit_quat_sampler_is_exactly_rounded():
         _nonzero_pair(rng)
     g = _unit_quat(rng)
     assert g.x0 == 0.5846807198571102
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_deviation_fails_and_is_worst(monkeypatch, bad):
+    # a non-finite deviation outranks every finite one, the last of them wins;
+    # sample i of the stub is (deviation, i)
+    results = iter(enumerate([1e-16, bad, 2e-16, bad, 3e-16]))
+    monkeypatch.setitem(verify.CHECK_FUNCS, "odot-lemma", lambda rng: next(results)[::-1])
+    report = run_check(DiagramCheck("odot-lemma", 5, 0, 1e-9))
+    assert report.failures == 2
+    assert report.worst_input == "3"
+    assert not math.isfinite(report.max_deviation)
+    assert report.to_dict()["max_deviation"] is None
+
+
+def test_nan_deviation_fails_the_cli(monkeypatch):
+    monkeypatch.setitem(verify.CHECK_FUNCS, "odot-lemma", lambda rng: (float("nan"), {"g": 1}))
+    code, stdout, stderr = run_main(["verify", "--check", "odot-lemma", "--samples", "5"], "")
+    assert code == 1, stderr
+    (report,) = json.loads(stdout)["reports"]
+    assert report["max_deviation"] is None
+    assert report["failures"] == 5
+    assert report["worst_input"] == '{"g": 1}'
