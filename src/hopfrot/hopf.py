@@ -94,7 +94,7 @@ def bloch_columns(v: ComplexPair):
 
 def hopf_classic(v: ComplexPair) -> np.ndarray:
     """The original Hopf map: stereo3_inv . chart . project on unit vectors."""
-    if abs(v.norm() - 1.0) > EPS_NORM:
+    if not abs(v.norm() - 1.0) <= EPS_NORM:
         raise NotUnit(f"vector norm {v.norm()!r} is not 1")
     return stereo3_inv(chart(project(v)))
 

@@ -209,7 +209,7 @@ def vector_norm(v) -> float:
 
 
 def require_unit(q: Quaternion) -> Quaternion:
-    if abs(norm(q) - 1.0) > EPS_NORM:
+    if not abs(norm(q) - 1.0) <= EPS_NORM:
         raise NotUnit(f"quaternion norm {norm(q)!r} is not 1")
     return q
 
@@ -244,6 +244,6 @@ def embed_pure(p) -> Quaternion:
 
 def pure_part(q: Quaternion) -> tuple[float, float, float]:
     """Extract (x1, x2, x3); rejects quaternions with a real part."""
-    if abs(q.x0) > EPS_NORM:
+    if not abs(q.x0) <= EPS_NORM:
         raise NotPure(f"scalar part {q.x0!r} exceeds tolerance {EPS_NORM}")
     return (q.x1, q.x2, q.x3)

@@ -37,7 +37,7 @@ class AxisAngle:
 
     def __post_init__(self):
         n = math.sqrt(sum(c * c for c in self.axis))
-        if abs(n - 1.0) > EPS_NORM:
+        if not abs(n - 1.0) <= EPS_NORM:
             raise NotUnit(f"axis norm {n!r} is not 1")
 
 

@@ -106,7 +106,7 @@ def chart(p: ProjectivePoint) -> ExtendedComplex:
 
 def require_sphere(p) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
-    if abs(float(np.dot(p, p)) - 1.0) > 2 * EPS_NORM:
+    if not abs(float(np.dot(p, p)) - 1.0) <= 2 * EPS_NORM:
         raise NotUnit(f"point {p.tolist()} is not on the unit sphere")
     return p
 

@@ -2,14 +2,17 @@
 
 Every identity relating two evaluation routes (quaternion conjugation vs
 matrix action, direct maps vs chart/stereographic pipelines, the two
-rotation conventions) is a named check.  A check draws samples from a
-fixed PCG64 stream, evaluates both routes, and records the worst
-Euclidean deviation in the final space.  Reports are deterministic for a
-given (name, samples, seed).
+rotation conventions) is a named check: its samplers, in draw order, and
+a deviation that evaluates both routes on one sample and returns their
+Euclidean distance in the final space.  run_check draws the samples from a
+fixed PCG64 stream and records the worst deviation.  Reports are
+deterministic for a given (name, samples, seed).
 
 Samples landing within 1e-6 of a chart or stereographic pole are redrawn
 (and counted): both routes are exact at the pole itself, but division
-just next to it amplifies rounding into meaningless deviations.
+just next to it amplifies rounding into meaningless deviations.  Every
+value of a sample is drawn before its deviation asks for a redraw, so a
+redraw only filters the stream.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import UnknownCheck
-from .hopf import bloch, hopf_classic, quat_hopf, reverse
+from .hopf import bloch, hopf_classic, lift_bloch, lift_quat_hopf, quat_hopf, reverse
 from .quat import (
     ComplexPair,
     Quaternion,
@@ -33,7 +36,7 @@ from .quat import (
     transpose_map,
     vector_norm,
 )
-from .rotations import AxisAngle, gb, matvec_as_quat, reconcile, rotate
+from .rotations import AxisAngle, gb, gq, matvec_as_quat, reconcile, rotate, rotate_via_quat_hopf
 from .sphere import (
     INFINITY,
     ExtendedComplex,
@@ -64,7 +67,7 @@ class DiagramCheck:
     tolerance: float
 
     def __post_init__(self):
-        if self.name not in CHECK_FUNCS:
+        if self.name not in CHECKS:
             raise UnknownCheck(self.name)
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
@@ -167,91 +170,75 @@ def _raw_chart(v: ComplexPair) -> ExtendedComplex:
 
 
 # ---------------------------------------------------------------------------
-# the catalog; each function draws one sample and returns (deviation,
-# sample-dict), or None to request a redraw (near-pole sample); run_check
-# serializes a sample only when it becomes the worst one
+# the catalog, name -> (deviation, samplers by sample name in draw order); a
+# deviation takes one sample's values in that order and returns the distance
+# between its routes, or None to request a redraw (near-pole sample)
 
 
-def _check_rephrase(rng):
-    q = _unit_quat(rng)
-    v = _nonzero_pair(rng)
+def _rephrase(q, v):
     g = su2_from_quat(q)
     acted = act_on_vector(g, v)
     if abs(v.w) < _POLE_GUARD * v.norm() or abs(acted.w) < _POLE_GUARD * acted.norm():
         return None
     left = act_on_proj(g, project(v)).rep
     right = project(acted).rep
-    return _dist_pair(left, right), dict(g=q, v=v)
+    return _dist_pair(left, right)
 
 
-def _check_quat_identification(rng):
-    q = _unit_quat(rng)
+def _quat_identification(q):
     base = project(ComplexPair(1 + 0j, 0j))
     moved = act_on_proj(su2_from_quat(q), base)
     if abs(moved.rep.w) < _POLE_GUARD:
         return None
     left = stereo1_inv(ext_mul_i(chart(moved)))
     right = quat_hopf(q)
-    return _dist3(left, right), dict(g=q)
+    return _dist3(left, right)
 
 
-def _check_template_classic(rng):
-    v = _unit_pair(rng)
+def _template_classic(v):
     if abs(v.w) < _POLE_GUARD:
         return None
     pipeline = stereo3_inv(_raw_chart(v))
-    return _dist3(pipeline, hopf_classic(v)), dict(v=v)
+    return _dist3(pipeline, hopf_classic(v))
 
 
-def _check_template_quat(rng):
-    q = _unit_quat(rng)
+def _template_quat(q):
     t = transpose_map(to_complex_pair(q))
     if abs(t.w) < _POLE_GUARD:
         return None
     pipeline = stereo1_inv(ext_mul_i(_raw_chart(t)))
-    return _dist3(pipeline, quat_hopf(q)), dict(g=q)
+    return _dist3(pipeline, quat_hopf(q))
 
 
-def _check_template_bloch(rng):
-    v = _nonzero_pair(rng)
+def _template_bloch(v):
     if abs(v.w) < _POLE_GUARD * v.norm():
         return None
     # canonical projective route here; bloch itself divides directly,
     # so the two sides are independent computations
     pipeline = stereo3_inv(ext_conjugate(chart(project(v))))
-    return _dist3(pipeline, bloch(v)), dict(v=v)
+    return _dist3(pipeline, bloch(v))
 
 
-def _check_compare_bloch_quat(rng):
-    s = _unit_pair(rng)
+def _compare_bloch_quat(s):
     if abs(s.w) < _POLE_GUARD:
         return None
     left = bloch(transpose_map(s))
     right = reverse(quat_hopf(from_complex_pair(s)))
-    return _dist3(left, right), dict(s=s)
+    return _dist3(left, right)
 
 
-def _check_odot_lemma(rng):
-    q = _unit_quat(rng)
-    h = _nonzero_pair(rng)
+def _odot_lemma(q, h):
     g = su2_from_quat(q)
-    return _dist_pair(act_on_vector(g, h), matvec_as_quat(g, h)), dict(g=q, h=h)
+    return _dist_pair(act_on_vector(g, h), matvec_as_quat(g, h))
 
 
-def _check_reconcile(rng):
-    aa = _axis_angle(rng)
-    p = _s2_point(rng)
-    fq = _angle(rng)
-    fb = _fiber_scalar(rng)
+def _reconcile(aa, p, fq, fb):
     via_quat, via_bloch = reconcile(aa, p, fq, fb)
     direct = rotate(aa, p)
-    dev = max(_dist3(via_quat, via_bloch), _dist3(via_quat, direct))
-    return dev, dict(aa=aa, p=p, fiber_q=fq, fiber_b=fb)
+    return max(_dist3(via_quat, via_bloch), _dist3(via_quat, direct))
 
 
-def _check_derivation_16_18(rng):
-    aa = _axis_angle(rng)
-    h = _unit_pair(rng)
+def _derivation_16_18(aa, h):
     g_mat = gb(aa)
     acted = act_on_vector(g_mat, h)
     if abs(h.w) < _POLE_GUARD or abs(acted.w) < _POLE_GUARD:
@@ -262,80 +249,79 @@ def _check_derivation_16_18(rng):
     e2 = bloch(to_complex_pair(multiply(h_tilde, transpose(g_tilde))))
     e3 = reverse(quat_hopf(multiply(g_tilde, transpose(h_tilde))))
     e4 = rotate(aa, bloch(h))
-    dev = max(_dist3(e1, e2), _dist3(e2, e3), _dist3(e3, e4))
-    return dev, dict(aa=aa, h=h)
+    return max(_dist3(e1, e2), _dist3(e2, e3), _dist3(e3, e4))
 
 
-def _check_final_diagram(rng):
-    aa = _axis_angle(rng)
-    p = _s2_point(rng)
-    fq = _angle(rng)
-    fb = _fiber_scalar(rng)
-    top, bottom = reconcile(aa, p, fq, fb)
+def _final_diagram(aa, p, fq, fb):
+    # the Bloch route builds g_B from g_Q by the convention relation
+    # g_B(theta, n) = g_Q(-theta, reverse n) and acts by matvec_as_quat,
+    # where reconcile calls gb and act_on_vector; reversing the axis tuple
+    # keeps its components Python floats
+    phase = Quaternion(math.cos(fq), math.sin(fq), 0.0, 0.0)
+    top = rotate_via_quat_hopf(aa, multiply(lift_quat_hopf(p), phase))
+    g_b = su2_from_quat(gq(AxisAngle(-aa.theta, aa.axis[::-1])))
+    bottom = bloch(matvec_as_quat(g_b, lift_bloch(p).scale(fb)))
     middle = rotate(aa, p)
-    dev = max(_dist3(top, middle), _dist3(bottom, middle), _dist3(top, bottom))
-    return dev, dict(aa=aa, p=p, fiber_q=fq, fiber_b=fb)
+    return max(_dist3(top, middle), _dist3(bottom, middle), _dist3(top, bottom))
 
 
-def _check_iso_su2_quat(rng):
-    q1 = _unit_quat(rng)
-    q2 = _unit_quat(rng)
+def _iso_su2_quat(q1, q2):
     left = su2_from_quat(multiply(q1, q2))
     right = su2_multiply(su2_from_quat(q1), su2_from_quat(q2))
-    return _dist_pair(left, right), dict(q1=q1, q2=q2)
+    return _dist_pair(left, right)
 
 
-def _check_fiber_invariance(rng):
-    q = _unit_quat(rng)
-    t = _angle(rng)
-    phase = Quaternion(math.cos(t), math.sin(t), 0.0, 0.0)
-    dev_q = _dist3(quat_hopf(multiply(q, phase)), quat_hopf(q))
-    v = _unit_pair(rng)
-    lam = _fiber_scalar(rng)
+def _fiber_invariance(q, t, v, lam):
     if abs(v.w) < _POLE_GUARD:
         return None
+    phase = Quaternion(math.cos(t), math.sin(t), 0.0, 0.0)
+    dev_q = _dist3(quat_hopf(multiply(q, phase)), quat_hopf(q))
     dev_b = _dist3(bloch(v.scale(lam)), bloch(v))
-    return max(dev_q, dev_b), dict(g=q, theta=t, v=v, scalar=lam)
+    return max(dev_q, dev_b)
 
 
-CHECK_FUNCS = {
-    "rephrase": _check_rephrase,
-    "quat-identification": _check_quat_identification,
-    "template-classic": _check_template_classic,
-    "template-quat": _check_template_quat,
-    "template-bloch": _check_template_bloch,
-    "compare-bloch-quat": _check_compare_bloch_quat,
-    "odot-lemma": _check_odot_lemma,
-    "reconcile": _check_reconcile,
-    "derivation-16-18": _check_derivation_16_18,
-    "final-diagram": _check_final_diagram,
-    "iso-su2-quat": _check_iso_su2_quat,
-    "fiber-invariance": _check_fiber_invariance,
+_ROTATION_DRAWS = dict(aa=_axis_angle, p=_s2_point, fiber_q=_angle, fiber_b=_fiber_scalar)
+
+CHECKS = {
+    "rephrase": (_rephrase, dict(g=_unit_quat, v=_nonzero_pair)),
+    "quat-identification": (_quat_identification, dict(g=_unit_quat)),
+    "template-classic": (_template_classic, dict(v=_unit_pair)),
+    "template-quat": (_template_quat, dict(g=_unit_quat)),
+    "template-bloch": (_template_bloch, dict(v=_nonzero_pair)),
+    "compare-bloch-quat": (_compare_bloch_quat, dict(s=_unit_pair)),
+    "odot-lemma": (_odot_lemma, dict(g=_unit_quat, h=_nonzero_pair)),
+    "reconcile": (_reconcile, _ROTATION_DRAWS),
+    "derivation-16-18": (_derivation_16_18, dict(aa=_axis_angle, h=_unit_pair)),
+    "final-diagram": (_final_diagram, _ROTATION_DRAWS),
+    "iso-su2-quat": (_iso_su2_quat, dict(q1=_unit_quat, q2=_unit_quat)),
+    "fiber-invariance": (
+        _fiber_invariance,
+        dict(g=_unit_quat, theta=_angle, v=_unit_pair, scalar=_fiber_scalar),
+    ),
 }
 
-CATALOG = list(CHECK_FUNCS)
+CATALOG = list(CHECKS)
 
 _MAX_REDRAWS = 1000
 
 
 def run_check(check: DiagramCheck) -> CheckReport:
     """Run one named check and report the worst observed deviation."""
-    fn = CHECK_FUNCS[check.name]
+    deviation, draws = CHECKS[check.name]
     rng = np.random.Generator(np.random.PCG64(check.seed))
     max_dev = 0.0
     failures = 0
     worst = ""
     resampled = 0
     for _ in range(check.samples):
-        result = fn(rng)
-        redraws = 0
-        while result is None:
-            resampled += 1
-            redraws += 1
-            if redraws > _MAX_REDRAWS:
-                raise RuntimeError(f"check {check.name}: sampler stuck near a pole")
-            result = fn(rng)
-        dev, sample = result
+        for redraws in range(_MAX_REDRAWS + 1):
+            sample = {name: draw(rng) for name, draw in draws.items()}
+            dev = deviation(*sample.values())
+            if dev is not None:
+                break
+        else:
+            raise RuntimeError(f"check {check.name}: sampler stuck near a pole")
+        resampled += redraws
         if not dev <= check.tolerance:  # NaN and infinity fail too
             failures += 1
         if dev >= max_dev or not math.isfinite(dev):  # and outrank every finite deviation

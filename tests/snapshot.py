@@ -8,7 +8,8 @@ imports hopfrot from SRC_DIR and runs `hopfrot.cli.main` in process on
 - the cli-batch benchmark documents (seeds 1-3, --points rows each);
 - a seeded corpus of malformed and edge documents for all six
   subcommands (--edge documents);
-- `verify` over the whole catalog at --samples samples (seeds 0, 1, 7).
+- `verify` over the whole catalog at --samples samples (seeds 0, 1, 7,
+  and seed 3 with the pole guard widened to 0.5, so that checks redraw).
 
 The documents are built with numpy and the standard library alone, never
 with hopfrot, so the script runs against any version of the sources, and
@@ -38,17 +39,20 @@ CHECKS = [
 VARIANTS = ["classic", "quat", "bloch"]
 
 
-def run_main(argv, stdin):
-    """cli.main in process: (exit code, stdout, stderr)."""
-    from hopfrot import cli  # here, after main() has put SRC_DIR on sys.path
+def run_main(argv, stdin, pole_guard=None):
+    """cli.main in process: (exit code, stdout, stderr); `pole_guard`, if
+    given, stands in for the harness's pole guard during the call."""
+    from hopfrot import cli, verify  # here, after main() has put SRC_DIR on sys.path
 
-    saved = sys.stdin, sys.stdout, sys.stderr
+    saved = sys.stdin, sys.stdout, sys.stderr, verify._POLE_GUARD
     sys.stdin, sys.stdout, sys.stderr = io.StringIO(stdin), io.StringIO(), io.StringIO()
+    if pole_guard is not None:
+        verify._POLE_GUARD = pole_guard
     try:
         code = cli.main(argv)
         return code, sys.stdout.getvalue(), sys.stderr.getvalue()
     finally:
-        sys.stdin, sys.stdout, sys.stderr = saved
+        sys.stdin, sys.stdout, sys.stderr, verify._POLE_GUARD = saved
 
 
 # -- the batch documents of tests/test_batch.py ---------------------------------
@@ -294,8 +298,9 @@ def _text(label, s):
 
 
 def cases(edge=1000, seed=0, points=20000, samples=300, batch_seeds=(1, 2), bench_seeds=(1, 2, 3)):
-    """Every (label, argv, stdin) of the snapshot; `seed` seeds the edge
-    corpus."""
+    """Every case of the snapshot as (label, argv, stdin), with the pole
+    guard as a fourth item on the verify case that widens it; `seed` seeds
+    the edge corpus."""
     out = []
     for s in batch_seeds:
         for i in range(len(BATCH)):
@@ -308,6 +313,8 @@ def cases(edge=1000, seed=0, points=20000, samples=300, batch_seeds=(1, 2), benc
         out.append((f"edge {i}", argv, stdin))
     for s in (0, 1, 7):
         out.append((f"verify seed {s}", ["verify", "--samples", str(samples), "--seed", str(s)], ""))
+    argv = ["verify", "--samples", str(samples), "--seed", "3"]
+    out.append(("verify seed 3 pole guard 0.5", argv, "", 0.5))
     return out
 
 
@@ -315,11 +322,11 @@ def report(**kwargs) -> list[str]:
     """The snapshot's lines: for each case its label, argv and input, then
     its exit code (or the exception it raised), stdout and stderr."""
     lines = []
-    for label, argv, stdin in cases(**kwargs):
+    for label, argv, stdin, *pole_guard in cases(**kwargs):
         lines.append(f"## {label} {' '.join(argv)}")
         lines.append(_text("stdin", stdin))
         try:
-            code, stdout, stderr = run_main(argv, stdin)
+            code, stdout, stderr = run_main(argv, stdin, *pole_guard)
         except Exception as e:  # a traceback is a result too
             lines.append(f"raised {type(e).__name__}: {e}")
             continue

@@ -6,11 +6,9 @@ sample count, printing a single PASS line when it holds.  Run with
 """
 
 import cmath
-import json
 import math
 
 import numpy as np
-import pytest
 
 from hopfrot import (
     ComplexPair,
@@ -21,9 +19,6 @@ from hopfrot import (
     from_complex_pair,
     gb,
     gq,
-    lift_bloch,
-    lift_classic,
-    lift_quat_hopf,
     matvec_as_quat,
     multiply,
     quat_hopf,

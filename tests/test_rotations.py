@@ -7,6 +7,7 @@ import pytest
 from hopfrot import (
     AxisAngle,
     ComplexPair,
+    NotPure,
     NotUnit,
     Quaternion,
     ZeroVector,
@@ -14,18 +15,21 @@ from hopfrot import (
     axis_angle,
     gb,
     gq,
+    hopf_classic,
     lift_bloch,
     lift_quat_hopf,
     matvec_as_quat,
     multiply,
+    pure_part,
     reconcile,
     rotate,
     rotate_via_bloch,
     rotate_via_quat_hopf,
+    stereo3,
     su2_from_quat,
     to_axis_angle,
 )
-from hopfrot.quat import I, ONE
+from hopfrot.quat import ONE
 from hopfrot.su2 import IDENTITY
 
 from oracles import rodrigues
@@ -54,6 +58,27 @@ def random_unit_quat(rng):
 def test_axis_angle_rejects_bad_axis():
     with pytest.raises(NotUnit):
         AxisAngle(1.0, (0.0, 0.0, 2.0))
+
+
+NAN = math.nan
+NAN_INPUTS = {
+    "lift_quat_hopf": (lambda: lift_quat_hopf([NAN, 0.0, 0.0]), NotUnit),
+    "hopf_classic": (lambda: hopf_classic(ComplexPair(complex(NAN, 0.0), 0j)), NotUnit),
+    "to_axis_angle": (lambda: to_axis_angle(Quaternion(NAN, 0.0, 0.0, 0.0)), NotUnit),
+    "AxisAngle": (lambda: AxisAngle(1.0, (NAN, 0.0, 0.0)), NotUnit),
+    "su2_from_quat": (lambda: su2_from_quat(Quaternion(NAN, 0.0, 0.0, 0.0)), NotUnit),
+    "lift_bloch": (lambda: lift_bloch([NAN, 0.0, 0.0]), NotUnit),
+    "stereo3": (lambda: stereo3([NAN, 0.0, 0.0]), NotUnit),
+    "pure_part": (lambda: pure_part(Quaternion(NAN, 0.0, 0.0, 1.0)), NotPure),
+}
+
+
+@pytest.mark.parametrize("name", NAN_INPUTS)
+def test_unit_guards_reject_nan(name):
+    # abs(nan - 1) > band is False, so each guard is written `not ... <= band`
+    call, error = NAN_INPUTS[name]
+    with pytest.raises(error):
+        call()
 
 
 def test_gq_examples():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hopfrot import CATALOG, CheckReport, DiagramCheck, UnknownCheck, run_all, run_check, verify
-from hopfrot.verify import _nonzero_pair, _unit_quat, subseed
+from hopfrot.verify import subseed
 from snapshot import run_main
 
 EXPECTED_CATALOG = [
@@ -89,32 +89,67 @@ def test_unit_quat_sampler_is_exactly_rounded():
     # (np.linalg.norm under OpenBLAS's SkylakeX kernel) rounds the norm
     # differently from the correctly rounded 2.328118035873988, giving
     # ...103 in the last digits of g[0] instead of ...102.
+    _, draws = verify.CHECKS["odot-lemma"]
     rng = np.random.Generator(np.random.PCG64(subseed(1, "odot-lemma")))
-    for _ in range(18):  # v1 draw order per odot-lemma sample: g, then h
-        _unit_quat(rng)
-        _nonzero_pair(rng)
-    g = _unit_quat(rng)
-    assert g.x0 == 0.5846807198571102
+    for _ in range(18):
+        for draw in draws.values():
+            draw(rng)
+    assert draws["g"](rng).x0 == 0.5846807198571102
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_deviation_fails_and_is_worst(monkeypatch, bad):
     # a non-finite deviation outranks every finite one, the last of them wins;
-    # sample i of the stub is (deviation, i)
-    results = iter(enumerate([1e-16, bad, 2e-16, bad, 3e-16]))
-    monkeypatch.setitem(verify.CHECK_FUNCS, "odot-lemma", lambda rng: next(results)[::-1])
+    # the stub draws sample i as {"i": i}
+    devs = [1e-16, bad, 2e-16, bad, 3e-16]
+    counter = iter(range(len(devs)))
+    monkeypatch.setitem(verify.CHECKS, "odot-lemma", (lambda i: devs[i], {"i": lambda rng: next(counter)}))
     report = run_check(DiagramCheck("odot-lemma", 5, 0, 1e-9))
     assert report.failures == 2
-    assert report.worst_input == "3"
+    assert report.worst_input == '{"i": 3}'
     assert not math.isfinite(report.max_deviation)
     assert report.to_dict()["max_deviation"] is None
 
 
 def test_nan_deviation_fails_the_cli(monkeypatch):
-    monkeypatch.setitem(verify.CHECK_FUNCS, "odot-lemma", lambda rng: (float("nan"), {"g": 1}))
+    monkeypatch.setitem(verify.CHECKS, "odot-lemma", (lambda g: float("nan"), {"g": lambda rng: 1}))
     code, stdout, stderr = run_main(["verify", "--check", "odot-lemma", "--samples", "5"], "")
     assert code == 1, stderr
     (report,) = json.loads(stdout)["reports"]
     assert report["max_deviation"] is None
     assert report["failures"] == 5
     assert report["worst_input"] == '{"g": 1}'
+
+
+# With a pole guard this wide every check that has one redraws often;
+# (resampled, max_deviation) at seed 3 and 300 samples.
+FORCED_GUARD = {
+    "rephrase": (216, 5.20740757162067e-16),
+    "quat-identification": (111, 4.765679189829399e-16),
+    "template-classic": (111, 5.578801654593729e-16),
+    "template-quat": (111, 5.23691153334427e-16),
+    "template-bloch": (98, 4.509747244882934e-16),
+    "compare-bloch-quat": (111, 5.23691153334427e-16),
+    "odot-lemma": (0, 9.930136612989092e-16),
+    "reconcile": (0, 1.5174458281959784e-15),
+    "derivation-16-18": (202, 6.377745716588144e-16),
+    "final-diagram": (0, 1.5174458281959784e-15),
+    "iso-su2-quat": (0, 1.594436429147036e-16),
+    "fiber-invariance": (101, 5.212519315743275e-16),
+}
+
+
+@pytest.mark.parametrize("name", EXPECTED_CATALOG)
+def test_redraws_filter_the_stream(monkeypatch, name):
+    monkeypatch.setattr(verify, "_POLE_GUARD", 0.5)
+    resampled, max_deviation = FORCED_GUARD[name]
+    report = run_check(DiagramCheck(name, 300, 3, 1e-9))
+    assert report.resampled == resampled
+    assert report.failures == 0
+    assert report.max_deviation == max_deviation
+
+
+def test_stuck_sampler_raises(monkeypatch):
+    monkeypatch.setattr(verify, "_POLE_GUARD", 10.0)
+    with pytest.raises(RuntimeError, match="^check template-classic: sampler stuck near a pole$"):
+        run_check(DiagramCheck("template-classic", 300, 3, 1e-9))
