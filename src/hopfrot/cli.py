@@ -196,25 +196,22 @@ def _axis_angle_of(x, degrees: bool) -> AxisAngle:
 # batch evaluation and document encoding
 
 
-def _evaluate(rows: np.ndarray, columns, suspect, scalar) -> np.ndarray:
+def _evaluate(rows: np.ndarray, columns, scalar) -> np.ndarray:
     """A map evaluated on every row of an (N, k) array.
 
-    `columns` is the map's column form and `scalar` its scalar function of
-    one row; `suspect` (or None) flags the rows that may meet a guard or
-    branch of `scalar`.  Those rows, and rows whose column result is not
-    finite, are evaluated again by `scalar` in input order, so that they
-    end as the scalar call does.  A result that is still not finite has
-    overflowed: a domain error naming the row.
+    `columns` is the map's column form: the bits of `scalar`, its scalar
+    function of one row, wherever finite, and NaN or infinite on the rows
+    where `scalar` raises or branches (see hopf.Forms).  Exactly the rows
+    not finite are evaluated again by `scalar`, in input order, so that
+    they end as the scalar call does.  A result that is still not finite
+    has overflowed: a domain error naming the row.
     """
     with np.errstate(all="ignore"):
         cols = columns(*rows.T)
         out = np.empty((len(rows), len(cols)))
         for j, c in enumerate(cols):
             out[:, j] = c
-        redo = ~np.isfinite(out).all(axis=1)
-        if suspect is not None:
-            redo |= suspect(*rows.T)
-        for i in np.flatnonzero(redo):
+        for i in np.flatnonzero(~np.isfinite(out).all(axis=1)):
             row = rows[i].tolist()
             out[i] = scalar(row)
             if not np.isfinite(out[i]).all():
@@ -282,12 +279,12 @@ def _cmd_rotate(args) -> int:
     if args.convention == "bloch":
         g = gb(aa)
         out = _evaluate(
-            points, lambda *p: _rotate_bloch_columns(g, *p), None, lambda p: _rotate_bloch(aa, p)
+            points, lambda *p: _rotate_bloch_columns(g, *p), lambda p: _rotate_bloch(aa, p)
         )
     else:
         g = gq(aa)
         out = _evaluate(
-            points, lambda *p: sandwich(require_unit(g), Quaternion(0.0, *p)), None,
+            points, lambda *p: sandwich(require_unit(g), Quaternion(0.0, *p)),
             lambda p: rotate(aa, p),
         )
     _emit_rows("points", out)
@@ -323,9 +320,7 @@ def _cmd_hopf(args) -> int:
         rows = _pair_rows(doc.pop("inputs"), "input pair")
     hopf = MAPS[variant]
     # quaternion rows and pair rows both hold (Re z, Im z, Re w, Im w)
-    out = _evaluate(
-        rows, hopf.columns, hopf.redo, lambda r: hopf.scalar(to_complex_pair(Quaternion(*r)))
-    )
+    out = _evaluate(rows, hopf.columns, lambda r: hopf.scalar(to_complex_pair(Quaternion(*r))))
     _emit_rows("points", out)
     return EXIT_OK
 
@@ -339,12 +334,10 @@ def _cmd_lift(args) -> int:
     points = _sphere_rows(doc.pop("points"), "point")
     lift = LIFTS[variant]
     if variant is HopfVariant.QUAT:
-        out = _evaluate(points, lift.columns, lift.redo, lambda p: astuple(lift.scalar(p)))
+        out = _evaluate(points, lift.columns, lambda p: astuple(lift.scalar(p)))
         _emit_rows("lifts", out)
     else:
-        out = _evaluate(
-            points, lift.columns, lift.redo, lambda p: astuple(from_complex_pair(lift.scalar(p)))
-        )
+        out = _evaluate(points, lift.columns, lambda p: astuple(from_complex_pair(lift.scalar(p))))
         _emit_rows("lifts", out, lambda r: {"z": r[:2], "w": r[2:]})
     return EXIT_OK
 

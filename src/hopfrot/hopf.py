@@ -119,7 +119,7 @@ def _acos(t: float) -> float:
 
 
 def _spherical_lift(p, sign: int) -> ComplexPair:
-    x, y, z = require_sphere(p).tolist()
+    x, y, z = require_sphere(p)
     zr, zi, wr, wi = spherical_lift_columns(x, y, z, sign)
     return ComplexPair(complex(zr, zi), complex(wr, wi))
 
@@ -166,7 +166,7 @@ def lift_quat_hopf(p) -> Quaternion:
     Constructed as the rotation carrying (1,0,0) to p about the axis
     i x p.  The degenerate bases are pinned: (1,0,0) -> 1, (-1,0,0) -> j.
     """
-    x, y, z = require_sphere(p).tolist()
+    x, y, z = require_sphere(p)
     s = _axis_norm(y, z)
     if s <= EPS_NORM:
         return Quaternion(1.0, 0.0, 0.0, 0.0) if x > 0 else Quaternion(0.0, 0.0, 1.0, 0.0)
@@ -211,35 +211,34 @@ def fiber_sample(variant: HopfVariant, base, count: int) -> list[ComplexPair]:
     return out
 
 
-def _maybe_off_unit(*cols):
-    """Rows whose norm may be off 1 by more than EPS_NORM (a margin below
-    every unit check in the package)."""
-    return abs(sum(c * c for c in cols) - 1.0) > EPS_NORM
+def _unit_rows(*v):
+    """The columns v, NaN in the rows whose norm may be off 1 by more than
+    EPS_NORM (a margin below every unit check in the package)."""
+    return np.where(abs(sum(c * c for c in v) - 1.0) > EPS_NORM, np.nan, v)
 
 
 class Forms(NamedTuple):
-    """A map's scalar function, its column form and the mask (or None) of
-    rows at a guard of `scalar` where `columns` may still be finite.  Those
-    rows, and rows whose column result is not finite, need `scalar`."""
+    """A map's scalar function and its column form, which gives the bits of
+    `scalar` on every row where it is finite, and is NaN or infinite on every
+    row where `scalar` raises or takes a branch (and maybe on a few more)."""
 
     scalar: Callable
     columns: Callable
-    redo: Callable | None
 
 
 # the Hopf maps of a ComplexPair, on columns of (Re z, Im z, Re w, Im w);
 # the lifts of a unit point, on columns of (x, y, z) that are unit to
 # rounding (so the columns skip require_sphere, which they would pass)
 MAPS = {
-    HopfVariant.CLASSIC: Forms(hopf_classic, hopf_classic_columns, _maybe_off_unit),
+    HopfVariant.CLASSIC: Forms(hopf_classic, lambda *v: hopf_classic_columns(*_unit_rows(*v))),
     HopfVariant.QUAT: Forms(
-        lambda v: quat_hopf(from_complex_pair(v)), lambda *g: sandwich(Quaternion(*g), I),
-        _maybe_off_unit,
+        lambda v: quat_hopf(from_complex_pair(v)),
+        lambda *g: sandwich(Quaternion(*_unit_rows(*g)), I),
     ),
-    HopfVariant.BLOCH: Forms(bloch, lambda *v: bloch_columns(pair_of_columns(*v)), None),
+    HopfVariant.BLOCH: Forms(bloch, lambda *v: bloch_columns(pair_of_columns(*v))),
 }
 LIFTS = {
-    HopfVariant.CLASSIC: Forms(lift_classic, lambda *p: spherical_lift_columns(*p, -1), None),
-    HopfVariant.QUAT: Forms(lift_quat_hopf, lift_quat_hopf_columns, None),
-    HopfVariant.BLOCH: Forms(lift_bloch, lambda *p: spherical_lift_columns(*p, 1), None),
+    HopfVariant.CLASSIC: Forms(lift_classic, lambda *p: spherical_lift_columns(*p, -1)),
+    HopfVariant.QUAT: Forms(lift_quat_hopf, lift_quat_hopf_columns),
+    HopfVariant.BLOCH: Forms(lift_bloch, lambda *p: spherical_lift_columns(*p, 1)),
 }

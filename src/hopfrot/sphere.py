@@ -16,13 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotUnit, ZeroVector
-from .quat import EPS_NORM, ComplexPair, where
+from .quat import EPS_NORM, ComplexPair, vector_norm, where
 
 EPS_PROJ = 1e-9
-
-# 1-x (or 1-z) below this is treated as exactly at the projection pole;
-# C+ represents the pole exactly, so return Infinity instead of overflowing.
-_POLE_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -104,29 +100,31 @@ def chart(p: ProjectivePoint) -> ExtendedComplex:
     return ratio(p.rep.z, p.rep.w)
 
 
-def require_sphere(p) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if not abs(float(np.dot(p, p)) - 1.0) <= 2 * EPS_NORM:
-        raise NotUnit(f"point {p.tolist()} is not on the unit sphere")
+def require_sphere(p) -> list[float]:
+    """p as a list of floats, if its exactly rounded norm is within EPS_NORM of 1."""
+    p = np.asarray(p, dtype=np.float64).tolist()
+    if not abs(vector_norm(p) - 1.0) <= EPS_NORM:
+        raise NotUnit(f"point {p} is not on the unit sphere")
     return p
 
 
 def stereo1(p) -> ExtendedComplex:
     """Project S^2 from the pole (1,0,0): (x,y,z) -> (y + iz)/(1 - x)."""
     x, y, z = require_sphere(p)
-    d = 1.0 - x
-    if d < _POLE_FLOOR:
-        return INFINITY
-    return ExtendedComplex(complex(y / d, z / d))
+    return _stereo(y, z, x)
 
 
 def stereo3(p) -> ExtendedComplex:
     """Project S^2 from the pole (0,0,1): (x,y,z) -> (x + iy)/(1 - z)."""
     x, y, z = require_sphere(p)
-    d = 1.0 - z
-    if d < _POLE_FLOOR:
-        return INFINITY
-    return ExtendedComplex(complex(x / d, y / d))
+    return _stereo(x, y, z)
+
+
+def _stereo(a: float, b: float, c: float) -> ExtendedComplex:
+    # (a + ib)/(1 - c); on the sphere 1 - c is exact for c >= 0.5 (Sterbenz),
+    # so it is <= 0 only where c >= 1, and otherwise at least 2^-53
+    d = 1.0 - c
+    return ExtendedComplex(complex(a / d, b / d)) if d > 0.0 else INFINITY
 
 
 def stereo3_inv(u: ExtendedComplex) -> np.ndarray:

@@ -1,10 +1,12 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from hopfrot import (
     ComplexPair,
+    DomainError,
     HopfVariant,
     NotUnit,
     Quaternion,
@@ -24,8 +26,8 @@ from hopfrot import (
     to_complex_pair,
     transpose_map,
 )
-from hopfrot.hopf import MAPS
-from hopfrot.quat import J, K, ONE
+from hopfrot.hopf import LIFTS, MAPS
+from hopfrot.quat import J, K, ONE, vector_norm
 from hopfrot.sphere import finite
 
 RNG = np.random.default_rng(11)
@@ -242,3 +244,73 @@ class TestDiagrams:
             np.testing.assert_allclose(
                 quat_hopf(multiply(g, phase)), quat_hopf(g), atol=1e-9
             )
+
+
+def map_rows():
+    """Finite rows (Re z, Im z, Re w, Im w): unit, just off unit, far off,
+    w = 0, huge, tiny, zero and signed-zero rows."""
+    rng = np.random.default_rng(31)
+    g = rng.standard_normal((200, 4))
+    unit = g / np.sqrt((g * g).sum(axis=1, keepdims=True))
+    special = [
+        [0.0, 0.0, 0.0, 0.0], [-0.0, 0.0, -0.0, -0.0], [1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, -0.0], [-0.0, -0.0, -0.0, 1.0], [3.0, 0.0, 0.0, 0.0], [0.6, 0.8, 0.0, -0.0],
+        [1e300, 1e300, 1e-300, 0.0], [1e-300, -1e-300, 1e-300, 1e-300], [1e200, 0.0, 0.0, 0.0],
+        [1.7e308, -1.7e308, 1.7e308, 1.7e308], [5e-324, 0.0, 0.0, 5e-324], [0.0, 0.0, 1e-200, 0.0],
+    ]
+    near = unit * (1.0 + rng.uniform(-3e-9, 3e-9, (200, 1)))
+    return np.concatenate([
+        unit, near, g, g * 1e-200, g * 1e200, unit * [1, 1, 0, 0], unit * [-0.0, 1, -0.0, 1], special
+    ])
+
+
+def lift_rows():
+    """Points renormalized by vector_norm, with poles, the pinned bases of
+    the quaternion lift, points near them and signed zeros."""
+    rng = np.random.default_rng(37)
+    g = rng.standard_normal((300, 3))
+    special = [
+        [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.0, -0.0, -1.0],
+        [1.0, 1e-10, -1e-10], [-1.0, -0.0, 1e-12], [0.0, 1.0, -0.0], [-0.0, -1.0, 0.0],
+        [1.0, 1e-300, 0.0], [1e-17, 0.0, 1.0], [-1e-17, -0.0, -1.0],
+    ]
+    rows = np.concatenate([g, g * [1, 0, 1], g * [-0.0, 1, 1], g * [1, 1e-10, 1e-10], special])
+    return np.array([[c / vector_norm(r) for c in r] for r in rows.tolist()])
+
+
+def pair(row):
+    return ComplexPair(complex(row[0], row[1]), complex(row[2], row[3]))
+
+
+def scalar_of_row(kind, variant):
+    """MAPS[variant] or LIFTS[variant].scalar on one row, as a list."""
+    if kind == "map":
+        return lambda r: MAPS[variant].scalar(pair(r)).tolist()
+    if variant is HopfVariant.QUAT:
+        return lambda p: list(astuple(LIFTS[variant].scalar(p)))
+    return lambda p: list(astuple(from_complex_pair(LIFTS[variant].scalar(p))))
+
+
+@pytest.mark.parametrize("variant", list(HopfVariant), ids=[v.value for v in HopfVariant])
+@pytest.mark.parametrize("kind", ["map", "lift"])
+def test_column_forms_hand_back_by_nan(kind, variant):
+    # a column form gives the scalar bits wherever it is finite, and is not
+    # finite wherever the scalar function raises (the batch CLI re-runs
+    # exactly those rows)
+    forms = (MAPS if kind == "map" else LIFTS)[variant]
+    rows = map_rows() if kind == "map" else lift_rows()
+    with np.errstate(all="ignore"):
+        cols = np.column_stack(np.broadcast_arrays(*forms.columns(*rows.T)))
+    scalar = scalar_of_row(kind, variant)
+    compared = 0
+    for row, col in zip(rows.tolist(), cols.tolist()):
+        finite = all(map(math.isfinite, col))
+        try:
+            want = scalar(row)
+        except DomainError:
+            assert not finite, row
+            continue
+        if finite:
+            assert repr(col) == repr(want), row
+            compared += 1
+    assert compared >= 200  # at least the generic unit rows

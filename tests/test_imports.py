@@ -1,6 +1,8 @@
-"""Every name a module of src/ or tests/ imports is referenced in it."""
+"""Every name a module of src/ or tests/ imports is referenced in it, and
+every private module-level name of src/ is read somewhere in src/."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,3 +31,44 @@ def unused_imports(path: Path) -> list[str]:
 def test_no_unused_imports():
     paths = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
     assert [u for p in paths for u in unused_imports(p)] == []
+
+
+def reads(tree: ast.AST) -> Counter:
+    """How often each name is read in `tree`, as a name or an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+        or isinstance(node, ast.Attribute)
+    )
+
+
+def defined(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def unread_privates(paths: list[Path]) -> list[str]:
+    """"file:line name" for each module-level function, class or constant
+    whose name starts with one underscore and that no code in `paths`
+    reads outside its own definition."""
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in paths}
+    everywhere = sum((reads(t) for t in trees.values()), Counter())
+    return [
+        f"{p.relative_to(ROOT)}:{node.lineno} {name}"
+        for p, tree in trees.items()
+        for node in tree.body
+        for name in defined(node)
+        if name.startswith("_") and not name.startswith("__")
+        and everywhere[name] == reads(node)[name]
+    ]
+
+
+def test_no_unread_private_names():
+    assert unread_privates(sorted((ROOT / "src" / "hopfrot").glob("*.py"))) == []

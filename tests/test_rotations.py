@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -29,10 +30,10 @@ from hopfrot import (
     su2_from_quat,
     to_axis_angle,
 )
-from hopfrot.quat import ONE
+from hopfrot.quat import ONE, vector_norm
 from hopfrot.su2 import IDENTITY
 
-from oracles import rodrigues
+from oracles import rodrigues, scipy_quat, scipy_rotvec
 
 RNG = np.random.default_rng(23)
 S = 1 / math.sqrt(2)
@@ -113,6 +114,21 @@ def test_rotate_matches_rodrigues():
         np.testing.assert_allclose(
             rotate(aa, p), rodrigues(aa.theta, aa.axis, p), atol=1e-9
         )
+
+
+def test_rotation_routes_match_scipy():
+    rng = np.random.default_rng(41)
+    for _ in range(2000):
+        aa = random_axis_angle(rng)
+        p = 3.0 * rng.standard_normal(3)
+        n = vector_norm(p.tolist())
+        want = scipy_rotvec(aa.theta, aa.axis, p)
+        for got in (
+            rotate(aa, p),
+            scipy_quat(astuple(gq(aa)), p),
+            n * rotate_via_bloch(aa, lift_bloch(p / n)),
+        ):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_rotation_composition_same_axis():

@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,11 +8,13 @@ import pytest
 from hopfrot import (
     INFINITY,
     ComplexPair,
+    NotUnit,
     ZeroVector,
     chart,
     ext_conjugate,
     ext_mul_i,
     finite,
+    lift_bloch,
     proj_eq,
     project,
     stereo1,
@@ -18,6 +22,7 @@ from hopfrot import (
     stereo3,
     stereo3_inv,
 )
+from hopfrot.sphere import require_sphere
 
 RNG = np.random.default_rng(20240824)
 
@@ -166,3 +171,59 @@ class TestExtendedOps:
     def test_finite_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             finite(complex(math.inf, 0))
+
+
+def on_sphere(p) -> bool:
+    try:
+        require_sphere(p)
+    except NotUnit:
+        return False
+    return True
+
+
+class TestSphereGuard:
+    """require_sphere decides by the exactly rounded norm, so its verdict
+    depends neither on the coordinate order nor on a BLAS kernel."""
+
+    def test_edge_point_in_both_orders(self):
+        # np.dot put these two orders 1.99999994e-9 and 2.00000017e-9 off 1
+        p = [-0.4867274704164692, -0.8271525622793684, 0.28091815579748625]
+        assert require_sphere(p) == p
+        assert require_sphere(p[::-1]) == p[::-1]
+        assert lift_bloch(p[::-1]) == ComplexPair(
+            complex(0.5065927997827894, 0.0),
+            complex(0.2772622859521548, -0.8163879959901543),
+        )
+
+    def test_verdict_ignores_coordinate_order(self):
+        rng = np.random.default_rng(5)
+        u = rng.standard_normal((2000, 3))
+        u /= np.sqrt((u * u).sum(axis=1, keepdims=True))
+        # norms a few ulps either side of the band edges 1 -+ EPS_NORM
+        r = 1.0 + rng.choice([-1e-9, 1e-9], 2000) * (1.0 + rng.uniform(-1e-7, 1e-7, 2000))
+        seen = set()
+        for p in (u * r[:, None]).tolist():
+            verdicts = {on_sphere(q) for q in itertools.permutations(p)}
+            assert len(verdicts) == 1, p
+            seen |= verdicts
+        assert seen == {True, False}
+
+    def test_overflowing_point_is_not_unit_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotUnit, match=r"point \[1.3e\+154, 1.3e\+154, 0.0\]"):
+                lift_bloch([1.3e154, 1.3e154, 0.0])
+
+    def test_returns_a_list_of_floats(self):
+        p = require_sphere(np.array([0, 0, 1]))
+        assert p == [0.0, 0.0, 1.0] and all(type(c) is float for c in p)
+
+    def test_stereo_pole_is_exact(self):
+        # 1 - c is exact near the pole, so the ulp below it projects to a
+        # finite value and c = 1 or above to infinity
+        below = math.nextafter(1.0, 0.0)
+        rest = math.sqrt(1.0 - below * below)
+        assert stereo3((rest, 0.0, below)).finite == complex(rest / (1.0 - below), 0.0)
+        assert stereo1((below, 0.0, rest)).finite == complex(0.0, rest / (1.0 - below))
+        assert stereo3((0.0, 0.0, 1.0 + 2**-52)).is_infinity
+        assert stereo1((1.0 + 2**-52, -0.0, 0.0)).is_infinity
