@@ -131,13 +131,13 @@ def _bulk(rows: list, width: int) -> np.ndarray | None:
     return arr if np.isfinite(arr).all() else None
 
 
-def _rows(items: list, width: int, what: str) -> np.ndarray:
-    """Decode rows of `width` numbers into an (N, width) float64 array; a
-    bad row raises its own error, the first one in input order."""
+def _rows(items: list, width: int, row) -> np.ndarray:
+    """Decode rows of `width` numbers into an (N, width) float64 array; if
+    one is bad, `row` decodes each in turn, and the first bad one raises."""
     arr = _bulk(items, width)
     if arr is None:  # some row is bad
         for x in items:
-            _reals(x, width, what)
+            row(x)
     return arr
 
 
@@ -166,18 +166,6 @@ def _renormalized(rows: np.ndarray, what: str) -> np.ndarray:
 
 def _unit(values: list[float], what: str) -> list[float]:
     return _renormalized(np.array([values]), what)[0].tolist()
-
-
-def _sphere_rows(items: list, what: str) -> np.ndarray:
-    """Decode and renormalize points of S^2.  Warnings and the first error
-    come in input order, as when each row is decoded and renormalized in
-    turn."""
-    arr = _bulk(items, 3)
-    if arr is None:  # some row is bad
-        for x in items:
-            _unit(_reals(x, 3, what), what)
-    del items  # free the parsed rows before the norms are taken
-    return _renormalized(arr, what)
 
 
 def _axis_angle_of(x, degrees: bool) -> AxisAngle:
@@ -275,7 +263,7 @@ def _cmd_rotate(args) -> int:
     aa = _axis_angle_of(doc["axis_angle"], args.degrees)
     if not isinstance(doc["points"], list):
         raise ParseError("points must be a list")
-    points = _rows(doc.pop("points"), 3, "point")
+    points = _rows(doc.pop("points"), 3, lambda x: _reals(x, 3, "point"))
     if args.convention == "bloch":
         g = gb(aa)
         out = _evaluate(
@@ -315,7 +303,7 @@ def _cmd_hopf(args) -> int:
         raise ParseError("hopf needs an inputs list")
     variant = HopfVariant(args.variant)
     if variant is HopfVariant.QUAT:
-        rows = _rows(doc.pop("inputs"), 4, "input quaternion")
+        rows = _rows(doc.pop("inputs"), 4, lambda x: _reals(x, 4, "input quaternion"))
     else:
         rows = _pair_rows(doc.pop("inputs"), "input pair")
     hopf = MAPS[variant]
@@ -331,7 +319,9 @@ def _cmd_lift(args) -> int:
     if "points" not in doc or not isinstance(doc["points"], list):
         raise ParseError("lift needs a points list")
     variant = HopfVariant(args.variant)
-    points = _sphere_rows(doc.pop("points"), "point")
+    # the fallback renormalizes each row too, so warnings keep input order
+    points = _rows(doc.pop("points"), 3, lambda x: _unit(_reals(x, 3, "point"), "point"))
+    points = _renormalized(points, "point")
     lift = LIFTS[variant]
     if variant is HopfVariant.QUAT:
         out = _evaluate(points, lift.columns, lambda p: astuple(lift.scalar(p)))

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import NotUnit, ZeroVector
+from .errors import DomainError, NotUnit, ZeroVector
 from .quat import (
     EPS_NORM,
     I,
@@ -78,10 +78,12 @@ def quat_hopf(g: Quaternion) -> np.ndarray:
 def bloch(v: ComplexPair) -> np.ndarray:
     """The Bloch projection (a, b) -> stereo3_inv(conj(a/b)).
 
-    Scale invariant, hence defined on all of C^2 minus the origin.
+    Scale invariant, hence defined on every finite nonzero vector of C^2.
     """
     if v.z == 0 and v.w == 0:
         raise ZeroVector("Bloch projection of the zero vector")
+    if not (cmath.isfinite(v.z) and cmath.isfinite(v.w)):
+        raise DomainError("Bloch projection of a vector with a non-finite component")
     return stereo3_inv(ext_conjugate(ratio(v.z, v.w)))
 
 
@@ -94,8 +96,9 @@ def bloch_columns(v: ComplexPair):
 
 def hopf_classic(v: ComplexPair) -> np.ndarray:
     """The original Hopf map: stereo3_inv . chart . project on unit vectors."""
-    if not abs(v.norm() - 1.0) <= EPS_NORM:
-        raise NotUnit(f"vector norm {v.norm()!r} is not 1")
+    n = vector_norm((v.z.real, v.z.imag, v.w.real, v.w.imag))
+    if not abs(n - 1.0) <= EPS_NORM:
+        raise NotUnit(f"vector norm {n!r} is not 1")
     return stereo3_inv(chart(project(v)))
 
 

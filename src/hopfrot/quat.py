@@ -178,10 +178,7 @@ def conjugate(q: Quaternion) -> Quaternion:
 
 
 def norm(q: Quaternion) -> float:
-    try:
-        return math.sqrt(q.x0**2 + q.x1**2 + q.x2**2 + q.x3**2)
-    except OverflowError:  # a square beyond the float range
-        return math.inf
+    return vector_norm((q.x0, q.x1, q.x2, q.x3))
 
 
 def vector_norm(v) -> float:
@@ -209,8 +206,9 @@ def vector_norm(v) -> float:
 
 
 def require_unit(q: Quaternion) -> Quaternion:
-    if not abs(norm(q) - 1.0) <= EPS_NORM:
-        raise NotUnit(f"quaternion norm {norm(q)!r} is not 1")
+    n = norm(q)
+    if not abs(n - 1.0) <= EPS_NORM:
+        raise NotUnit(f"quaternion norm {n!r} is not 1")
     return q
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotUnit, ZeroVector
+from .errors import DomainError, NotUnit, ZeroVector
 from .hopf import bloch, conjugate_action, lift_bloch, lift_quat_hopf, quat_hopf
 from .quat import (
     EPS_NORM,
@@ -24,6 +24,7 @@ from .quat import (
     require_unit,
     to_complex_pair,
     transpose,
+    vector_norm,
 )
 from .su2 import SU2Matrix, act_on_vector, quat_from_su2
 
@@ -36,7 +37,9 @@ class AxisAngle:
     axis: tuple[float, float, float]
 
     def __post_init__(self):
-        n = math.sqrt(sum(c * c for c in self.axis))
+        if not math.isfinite(self.theta):
+            raise DomainError(f"angle {self.theta!r} is not finite")
+        n = vector_norm(self.axis)
         if not abs(n - 1.0) <= EPS_NORM:
             raise NotUnit(f"axis norm {n!r} is not 1")
 
@@ -87,7 +90,7 @@ def rotate_via_bloch(aa: AxisAngle, hb: ComplexPair) -> np.ndarray:
 
 def matvec_as_quat(g: SU2Matrix, h: ComplexPair) -> ComplexPair:
     """The matrix-vector product g (.) h written as the quaternion product
-    h~ * g^T; numerically identical to act_on_vector(g, h)."""
+    h~ * g^T; equal in exact arithmetic to act_on_vector(g, h), but rounded differently."""
     prod = multiply(from_complex_pair(h), transpose(quat_from_su2(g)))
     return to_complex_pair(prod)
 

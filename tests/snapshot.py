@@ -14,7 +14,8 @@ imports hopfrot from SRC_DIR and runs `hopfrot.cli.main` in process on
 The documents are built with numpy and the standard library alone, never
 with hopfrot, so the script runs against any version of the sources, and
 `diff` of two runs compares two versions byte for byte.  Long outputs
-are printed as their length and SHA-256.
+are printed as their length and SHA-256; a `verify` output is printed as
+one line per check, so that a diff names the check whose report moved.
 """
 
 from __future__ import annotations
@@ -318,6 +319,15 @@ def cases(edge=1000, seed=0, points=20000, samples=300, batch_seeds=(1, 2), benc
     return out
 
 
+def _stdout(argv, stdout) -> list[str]:
+    """stdout's lines in the snapshot: `report <name>: <json>` for each
+    report of a verify document, else the text itself."""
+    if argv[0] != "verify" or not stdout:
+        return [_text("stdout", stdout)]
+    reports = json.loads(stdout)["reports"]
+    return [f"report {r['name']}: {json.dumps(r, sort_keys=True)}" for r in reports]
+
+
 def report(**kwargs) -> list[str]:
     """The snapshot's lines: for each case its label, argv and input, then
     its exit code (or the exception it raised), stdout and stderr."""
@@ -330,7 +340,7 @@ def report(**kwargs) -> list[str]:
         except Exception as e:  # a traceback is a result too
             lines.append(f"raised {type(e).__name__}: {e}")
             continue
-        lines += [f"exit {code}", _text("stdout", stdout), _text("stderr", stderr)]
+        lines += [f"exit {code}", *_stdout(argv, stdout), _text("stderr", stderr)]
     return lines
 
 

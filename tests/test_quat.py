@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hopfrot import (
     ComplexPair,
     NotPure,
+    NotUnit,
     Quaternion,
     conjugate,
     embed_pure,
@@ -17,7 +18,7 @@ from hopfrot import (
     transpose,
     transpose_map,
 )
-from hopfrot.quat import I, J, K, ONE
+from hopfrot.quat import I, J, K, ONE, require_unit
 
 from oracles import pure_product
 
@@ -58,6 +59,20 @@ def test_norm():
     assert norm(Quaternion(0, 0, 0, 0)) == 0.0
     assert norm(K) == 1.0
     assert norm(Quaternion(1, 1, 1, 1)) == 2.0
+
+
+def test_norm_is_exactly_rounded():
+    # a left-to-right sum of squares puts the reversed order 1.000000001 off 1
+    q = [-0.059267360581204735, -0.8237093096491298, -0.4456145868156894, -0.3455690888725059]
+    assert require_unit(Quaternion(*q)) == Quaternion(*q)
+    assert require_unit(Quaternion(*q[::-1])) == Quaternion(*q[::-1])
+    assert norm(Quaternion(*q)) == norm(Quaternion(*q[::-1])) == 1.0000000009999999
+
+
+def test_huge_quaternion_is_not_unit_by_its_true_norm():
+    # its square overflows the float range, its norm does not
+    with pytest.raises(NotUnit, match=r"quaternion norm 1e\+200 is not 1"):
+        require_unit(Quaternion(1e200, 0.0, 0.0, 0.0))
 
 
 def test_complex_pair_identification():

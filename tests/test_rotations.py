@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 from dataclasses import astuple
 
@@ -8,12 +9,14 @@ import pytest
 from hopfrot import (
     AxisAngle,
     ComplexPair,
+    DomainError,
     NotPure,
     NotUnit,
     Quaternion,
     ZeroVector,
     act_on_vector,
     axis_angle,
+    bloch,
     gb,
     gq,
     hopf_classic,
@@ -30,7 +33,7 @@ from hopfrot import (
     su2_from_quat,
     to_axis_angle,
 )
-from hopfrot.quat import ONE, vector_norm
+from hopfrot.quat import ONE, require_unit, vector_norm
 from hopfrot.su2 import IDENTITY
 
 from oracles import rodrigues, scipy_quat, scipy_rotvec
@@ -67,6 +70,8 @@ NAN_INPUTS = {
     "hopf_classic": (lambda: hopf_classic(ComplexPair(complex(NAN, 0.0), 0j)), NotUnit),
     "to_axis_angle": (lambda: to_axis_angle(Quaternion(NAN, 0.0, 0.0, 0.0)), NotUnit),
     "AxisAngle": (lambda: AxisAngle(1.0, (NAN, 0.0, 0.0)), NotUnit),
+    "AxisAngle theta": (lambda: AxisAngle(NAN, (0.0, 0.0, 1.0)), DomainError),
+    "bloch": (lambda: bloch(ComplexPair(NAN, 1.0)), DomainError),
     "su2_from_quat": (lambda: su2_from_quat(Quaternion(NAN, 0.0, 0.0, 0.0)), NotUnit),
     "lift_bloch": (lambda: lift_bloch([NAN, 0.0, 0.0]), NotUnit),
     "stereo3": (lambda: stereo3([NAN, 0.0, 0.0]), NotUnit),
@@ -80,6 +85,50 @@ def test_unit_guards_reject_nan(name):
     call, error = NAN_INPUTS[name]
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("value", [NAN, math.inf, -math.inf])
+def test_non_finite_angle_and_bloch_components_are_domain_errors(value):
+    # NaN would otherwise end at the pole (0, 0, 1), infinity in math.cos
+    with pytest.raises(DomainError, match="angle .* is not finite"):
+        AxisAngle(value, (0.0, 0.0, 1.0))
+    for v in (ComplexPair(value, 1.0), ComplexPair(1.0, value), ComplexPair(0j, complex(0.0, value))):
+        with pytest.raises(DomainError, match="non-finite component"):
+            bloch(v)
+
+
+def holds(guard, v) -> bool:
+    try:
+        guard(v)
+    except NotUnit:
+        return False
+    return True
+
+
+# the unit guards of S^3, C^2 and rotation axes: (vector width, guard of a list)
+UNIT_GUARDS = {
+    "require_unit": (4, lambda v: require_unit(Quaternion(*v))),
+    "hopf_classic": (4, lambda v: hopf_classic(ComplexPair(complex(*v[:2]), complex(*v[2:])))),
+    "AxisAngle": (3, lambda v: AxisAngle(1.0, tuple(v))),
+}
+
+
+@pytest.mark.parametrize("name", UNIT_GUARDS)
+def test_unit_verdict_ignores_component_order(name):
+    # the guards decide by the exactly rounded norm; a plain sum of squares
+    # gave some of these vectors a verdict that changed with the order
+    width, guard = UNIT_GUARDS[name]
+    rng = np.random.default_rng(9)
+    u = rng.standard_normal((400, width))
+    u /= np.sqrt((u * u).sum(axis=1, keepdims=True))
+    # norms a few ulps either side of the band edges 1 -+ EPS_NORM
+    r = 1.0 + rng.choice([-1e-9, 1e-9], 400) * (1.0 + rng.uniform(-1e-7, 1e-7, 400))
+    seen = set()
+    for v in (u * r[:, None]).tolist():
+        verdicts = {holds(guard, p) for p in itertools.permutations(v)}
+        assert len(verdicts) == 1, v
+        seen |= verdicts
+    assert seen == {True, False}
 
 
 def test_gq_examples():
