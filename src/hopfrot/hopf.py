@@ -55,9 +55,13 @@ class HopfVariant(enum.Enum):
 
 
 def conjugate_action(g: Quaternion, p) -> np.ndarray:
-    """Rotate p in R^3 by the unit quaternion g: p -> g p g*."""
+    """Rotate p in R^3 by the unit quaternion g: p -> g p g*.  A point
+    with a non-finite coordinate is a DomainError, as it is for bloch."""
     require_unit(g)
-    return np.array(sandwich(g, embed_pure(p)))
+    q = embed_pure(p)
+    if not (math.isfinite(q.x1) and math.isfinite(q.x2) and math.isfinite(q.x3)):
+        raise DomainError("cannot rotate a point with a non-finite coordinate")
+    return np.array(sandwich(g, q))
 
 
 def sandwich(g: Quaternion, p: Quaternion):
@@ -221,9 +225,10 @@ def _unit_rows(*v):
 
 
 class Forms(NamedTuple):
-    """A map's scalar function and its column form, which gives the bits of
+    """A function's scalar form and its column form, which gives the bits of
     `scalar` on every row where it is finite, and is NaN or infinite on every
-    row where `scalar` raises or takes a branch (and maybe on a few more)."""
+    row where `scalar` raises, takes a branch or returns None (and maybe on
+    a few more)."""
 
     scalar: Callable
     columns: Callable

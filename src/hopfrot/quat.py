@@ -133,6 +133,13 @@ class ComplexColumn:
         re, im = self._parts(other)
         return ComplexColumn(self.real + re, self.imag + im)
 
+    def __sub__(self, other):
+        re, im = self._parts(other)
+        return ComplexColumn(self.real - re, self.imag - im)
+
+    def __neg__(self):
+        return ComplexColumn(-self.real, -self.imag)
+
     def __mul__(self, other):
         return ComplexColumn(*cmul((self.real, self.imag), self._parts(other)))
 
@@ -213,6 +220,9 @@ def require_unit(q: Quaternion) -> Quaternion:
 
 
 def to_complex_pair(q: Quaternion) -> ComplexPair:
+    """(x0 + i x1, x2 + i x3); on columns, a pair of complex columns."""
+    if type(q.x0) is _COLUMN:
+        return pair_of_columns(q.x0, q.x1, q.x2, q.x3)
     return ComplexPair(complex(q.x0, q.x1), complex(q.x2, q.x3))
 
 

@@ -8,8 +8,11 @@ imports hopfrot from SRC_DIR and runs `hopfrot.cli.main` in process on
 - the cli-batch benchmark documents (seeds 1-3, --points rows each);
 - a seeded corpus of malformed and edge documents for all six
   subcommands (--edge documents);
-- `verify` over the whole catalog at --samples samples (seeds 0, 1, 7,
-  and seed 3 with the pole guard widened to 0.5, so that checks redraw).
+- `verify` over the whole catalog at --samples samples: seeds 0, 1 and 7;
+  seed 3 with the pole guard widened to 0.5, so that checks redraw; seed 3
+  at tolerance 1e-30, so that every sample with a nonzero deviation fails
+  and `failures` counts them; and seed 3 with the pole guard at 10,
+  so that the first guarded check raises its stuck-sampler error.
 
 The documents are built with numpy and the standard library alone, never
 with hopfrot, so the script runs against any version of the sources, and
@@ -300,7 +303,7 @@ def _text(label, s):
 
 def cases(edge=1000, seed=0, points=20000, samples=300, batch_seeds=(1, 2), bench_seeds=(1, 2, 3)):
     """Every case of the snapshot as (label, argv, stdin), with the pole
-    guard as a fourth item on the verify case that widens it; `seed` seeds
+    guard as a fourth item on the verify cases that widen it; `seed` seeds
     the edge corpus."""
     out = []
     for s in batch_seeds:
@@ -316,6 +319,8 @@ def cases(edge=1000, seed=0, points=20000, samples=300, batch_seeds=(1, 2), benc
         out.append((f"verify seed {s}", ["verify", "--samples", str(samples), "--seed", str(s)], ""))
     argv = ["verify", "--samples", str(samples), "--seed", "3"]
     out.append(("verify seed 3 pole guard 0.5", argv, "", 0.5))
+    out.append(("verify seed 3 tolerance 1e-30", [*argv, "--tolerance", "1e-30"], ""))
+    out.append(("verify seed 3 pole guard 10", argv, "", 10.0))
     return out
 
 

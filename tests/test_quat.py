@@ -18,7 +18,7 @@ from hopfrot import (
     transpose,
     transpose_map,
 )
-from hopfrot.quat import I, J, K, ONE, require_unit
+from hopfrot.quat import I, J, K, ONE, ComplexColumn, require_unit
 
 from oracles import pure_product
 
@@ -159,3 +159,59 @@ def test_pure_product_matches_dot_cross(seed):
     scalar, vector = pure_product(u, v)
     assert prod.x0 == pytest.approx(scalar, abs=1e-12)
     np.testing.assert_allclose([prod.x1, prod.x2, prod.x3], vector, atol=1e-12)
+
+
+# -- ComplexColumn against CPython's complex, row by row ---------------------
+
+SPECIAL_PARTS = [0.0, -0.0, 1.0, -2.5, 1e300, -1e300, 1e154, 1e-300, -5e-324]
+
+
+def _complex_rows(rng, n):
+    """n complex numbers: every pair of SPECIAL_PARTS, then random ones of
+    wide magnitude."""
+    rows = [complex(a, b) for a in SPECIAL_PARTS for b in SPECIAL_PARTS]
+    for a, b, e in zip(rng.standard_normal(n), rng.standard_normal(n), rng.integers(-300, 300, n)):
+        rows.append(complex(a * 10.0**e, b))
+    return rows
+
+
+def _bits(x):
+    """The bit patterns of x, with one pattern for every NaN."""
+    return np.where(np.isnan(x), np.nan, x).view(np.uint64)
+
+
+def _same(column, expected):
+    """Row r of column has the bits of expected[r] (a complex or a float), or
+    NaN parts where expected[r] is None (CPython raised)."""
+    got = np.array([column.real, column.imag] if isinstance(column, ComplexColumn) else [column]).T
+    for r, z in enumerate(expected):
+        if z is None:
+            assert np.isnan(got[r]).all(), r
+        else:
+            want = np.array([z.real, z.imag] if isinstance(z, complex) else [z])
+            assert np.array_equal(_bits(got[r]), _bits(want)), (r, z, got[r])
+
+
+def _quotient(a, b):
+    try:
+        return a / b
+    except ZeroDivisionError:
+        return None
+
+
+def test_complex_column_rounds_as_cpython():
+    rng = np.random.default_rng(31)
+    a = _complex_rows(rng, 300)
+    b = a[::-1]
+    col_a, col_b = (ComplexColumn([z.real for z in x], [z.imag for z in x]) for x in (a, b))
+    with np.errstate(all="ignore"):  # huge rows overflow, zero divisors give NaN
+        # a column, a complex number and a real number on the right
+        for other, right in ((b, col_b), ([1.5 - 0.0j] * len(a), 1.5 - 0.0j), ([-0.0] * len(a), -0.0)):
+            _same(col_a + right, [x + y for x, y in zip(a, other)])
+            _same(col_a - right, [x - y for x, y in zip(a, other)])
+            _same(col_a * right, [x * y for x, y in zip(a, other)])
+            _same(right * col_a, [y * x for x, y in zip(a, other)])
+            _same(col_a / right, [_quotient(x, y) for x, y in zip(a, other)])
+        _same(-col_a, [-x for x in a])
+        _same(col_a.conjugate(), [x.conjugate() for x in a])
+        _same(abs(col_a), [abs(x) for x in a])

@@ -16,6 +16,7 @@ from hopfrot import (
     ZeroVector,
     act_on_vector,
     axis_angle,
+    conjugate_action,
     bloch,
     gb,
     gq,
@@ -76,6 +77,12 @@ NAN_INPUTS = {
     "lift_bloch": (lambda: lift_bloch([NAN, 0.0, 0.0]), NotUnit),
     "stereo3": (lambda: stereo3([NAN, 0.0, 0.0]), NotUnit),
     "pure_part": (lambda: pure_part(Quaternion(NAN, 0.0, 0.0, 1.0)), NotPure),
+    "rotate nan": (lambda: rotate(axis_angle(1.0, (0, 0, 1)), [NAN, 0.0, 0.0]), DomainError),
+    "rotate inf": (lambda: rotate(axis_angle(1.0, (0, 0, 1)), [math.inf, 0.0, 0.0]), DomainError),
+    "rotate -inf": (lambda: rotate(axis_angle(1.0, (0, 0, 1)), [0.0, 0.0, -math.inf]), DomainError),
+    "conjugate_action nan": (lambda: conjugate_action(ONE, (0.0, NAN, 0.0)), DomainError),
+    "conjugate_action inf": (lambda: conjugate_action(ONE, (0.0, 0.0, math.inf)), DomainError),
+    "conjugate_action -inf": (lambda: conjugate_action(ONE, (-math.inf, 0.0, 0.0)), DomainError),
 }
 
 

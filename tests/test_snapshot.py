@@ -1,18 +1,29 @@
 """tests/snapshot.py, the CLI byte snapshot that compares two versions of
 the sources, kept runnable: a small corpus run twice gives the same lines."""
 
+import json
+
 from snapshot import CHECKS, report
 
 SMALL = dict(edge=80, seed=5, points=30, samples=5, batch_seeds=(1,), bench_seeds=(1,))
+TOLERANCE_ARGV = ["verify", "--samples", "5", "--seed", "3", "--tolerance", "1e-30"]
 
 
 def test_snapshot_is_deterministic():
     first = report(**SMALL)
     assert first == report(**SMALL)
     outcomes = {line for line in first if line.startswith(("exit ", "raised "))}
-    assert {"exit 0", "exit 2", "exit 3"} <= outcomes
-    assert not any(line.startswith("raised ") for line in outcomes)
+    assert {"exit 0", "exit 1", "exit 2", "exit 3"} <= outcomes
+    # the one traceback is the stuck sampler's, at pole guard 10
+    assert {line for line in outcomes if line.startswith("raised ")} == {
+        "raised RuntimeError: check rephrase: sampler stuck near a pole"
+    }
     # a verify output is one line per check, so that a diff names the check
     assert {line.split(":")[0] for line in first if line.startswith("report ")} == {
         f"report {name}" for name in CHECKS
     }
+    # at tolerance 1e-30 every sample whose deviation is not exactly 0 fails
+    case = first.index(f"## verify seed 3 tolerance 1e-30 {' '.join(TOLERANCE_ARGV)}")
+    assert first[case + 2] == "exit 1"
+    reports = [json.loads(line.split(": ", 1)[1]) for line in first[case + 3 : case + 3 + len(CHECKS)]]
+    assert all(r["failures"] > 0 for r in reports)

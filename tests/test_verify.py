@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from hopfrot import CATALOG, CheckReport, DiagramCheck, UnknownCheck, run_all, run_check, verify
+from hopfrot.hopf import Forms
 from hopfrot.verify import subseed
+import verify_reference
 from snapshot import run_main
 
 EXPECTED_CATALOG = [
@@ -91,19 +93,24 @@ def test_unit_quat_sampler_is_exactly_rounded():
     # ...103 in the last digits of g[0] instead of ...102.
     _, draws = verify.CHECKS["odot-lemma"]
     rng = np.random.Generator(np.random.PCG64(subseed(1, "odot-lemma")))
-    for _ in range(18):
-        for draw in draws.values():
-            draw(rng)
-    assert draws["g"](rng).x0 == 0.5846807198571102
+    g, _ = verify._draw(draws, rng, 19)
+    assert verify._row(g, 18).x0 == 0.5846807198571102
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_deviation_fails_and_is_worst(monkeypatch, bad):
     # a non-finite deviation outranks every finite one, the last of them wins;
-    # the stub draws sample i as {"i": i}
+    # the stub draws sample i as {"i": i}.  Its column form is NaN where the
+    # deviation is not finite and past the five samples, where the scalar
+    # form raises: run_check must hand back those rows and stop before these.
     devs = [1e-16, bad, 2e-16, bad, 3e-16]
-    counter = iter(range(len(devs)))
-    monkeypatch.setitem(verify.CHECKS, "odot-lemma", (lambda i: devs[i], {"i": lambda rng: next(counter)}))
+    row_number = verify.Sampler(1, (), lambda v: np.arange(len(v)))  # draws a normal, gives i
+
+    def columns(i):
+        finite = [d if math.isfinite(d) else math.nan for d in devs]
+        return np.array(finite + [math.nan] * (len(i) - len(devs)))
+
+    monkeypatch.setitem(verify.CHECKS, "odot-lemma", (Forms(lambda i: devs[i], columns), {"i": row_number}))
     report = run_check(DiagramCheck("odot-lemma", 5, 0, 1e-9))
     assert report.failures == 2
     assert report.worst_input == '{"i": 3}'
@@ -112,7 +119,9 @@ def test_non_finite_deviation_fails_and_is_worst(monkeypatch, bad):
 
 
 def test_nan_deviation_fails_the_cli(monkeypatch):
-    monkeypatch.setitem(verify.CHECKS, "odot-lemma", (lambda g: float("nan"), {"g": lambda rng: 1}))
+    one = verify.Sampler(1, (), lambda v: np.ones(len(v), dtype=int))
+    forms = Forms(lambda g: float("nan"), lambda g: np.full(len(g), math.nan))
+    monkeypatch.setitem(verify.CHECKS, "odot-lemma", (forms, {"g": one}))
     code, stdout, stderr = run_main(["verify", "--check", "odot-lemma", "--samples", "5"], "")
     assert code == 1, stderr
     (report,) = json.loads(stdout)["reports"]
@@ -153,3 +162,65 @@ def test_stuck_sampler_raises(monkeypatch):
     monkeypatch.setattr(verify, "_POLE_GUARD", 10.0)
     with pytest.raises(RuntimeError, match="^check template-classic: sampler stuck near a pole$"):
         run_check(DiagramCheck("template-classic", 300, 3, 1e-9))
+
+
+@pytest.mark.parametrize("guard", [verify._POLE_GUARD, 0.5])
+@pytest.mark.parametrize("name", EXPECTED_CATALOG)
+def test_columns_match_the_reference_runner(monkeypatch, name, guard):
+    # at guard 0.5 the checks that have a pole guard redraw often, and every
+    # redraw is a row handed back to the scalar form
+    monkeypatch.setattr(verify, "_POLE_GUARD", guard)
+    for seed in (0, 1, 7, 123):
+        for samples in (1, 37, 2000):
+            check = DiagramCheck(name, samples, subseed(seed, name), 1e-9)
+            report, reference = run_check(check), verify_reference.run_check(check)
+            assert report == reference
+            assert json.dumps(report.to_dict()) == json.dumps(reference.to_dict())
+
+
+@pytest.mark.parametrize("name", EXPECTED_CATALOG)
+def test_columns_match_the_reference_runner_when_stuck(monkeypatch, name):
+    # at guard 10 every check with a pole guard rejects every sample
+    monkeypatch.setattr(verify, "_POLE_GUARD", 10.0)
+    check = DiagramCheck(name, 37, subseed(0, name), 1e-9)
+    if FORCED_GUARD[name][0] == 0:  # no pole guard
+        assert run_check(check) == verify_reference.run_check(check)
+        return
+    message = f"^check {name}: sampler stuck near a pole$"
+    for run in (run_check, verify_reference.run_check):
+        with pytest.raises(RuntimeError, match=message):
+            run(check)
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("k", [1, 3, 4, 8])
+def test_normal_block_is_the_stream_of_its_calls(k):
+    # run_check draws normals-only checks as one block, and merges a
+    # sample's adjacent normals into one call
+    a, b = (np.random.Generator(np.random.PCG64(11)) for _ in range(2))
+    block = a.standard_normal(k * 5000)
+    calls = np.concatenate([b.standard_normal(k) for _ in range(5000)])
+    assert np.array_equal(_bits(block), _bits(calls))
+
+
+@pytest.mark.parametrize("low, high", [(0.0, 2.0 * math.pi), (-2.0, 2.0)])
+def test_uniform_is_an_affine_map_of_random(low, high):
+    # run_check draws uniforms as rng.random, k at a time, and maps them onto
+    # the sampler's range itself
+    a, b = (np.random.Generator(np.random.PCG64(12)) for _ in range(2))
+    uniform = np.array([a.uniform(low, high) for _ in range(30000)])
+    random = np.concatenate([b.random(k) for k in (1, 2, 3) * 5000])
+    assert np.array_equal(_bits(uniform), _bits(low + (high - low) * random))
+
+
+@pytest.mark.parametrize("guard", [verify._POLE_GUARD, 0.5])
+def test_blocks_split_the_stream(monkeypatch, guard):
+    # with blocks of at most 50 candidates, 300 samples span several blocks
+    monkeypatch.setattr(verify, "_POLE_GUARD", guard)
+    monkeypatch.setattr(verify, "_MAX_BLOCK", 50)
+    for name in EXPECTED_CATALOG:
+        check = DiagramCheck(name, 300, subseed(5, name), 1e-9)
+        assert run_check(check) == verify_reference.run_check(check)
