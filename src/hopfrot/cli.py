@@ -8,9 +8,10 @@ renormalized with a warning (the library itself stays strict).
 
 rotate, hopf and lift evaluate a document as one batch: its rows are
 decoded into a float64 array, the library's column forms evaluate all of
-them at once, and the rows that meet a guard or branch are evaluated
-again by the scalar functions, in input order.  Output, warnings and
-errors are those of the scalar calls, byte for byte.
+them at once, branches included, and the rows where a column form is not
+finite (where the scalar function raises, or its result overflows) are
+evaluated again by the scalar functions, in input order.  Output,
+warnings and errors are those of the scalar calls, byte for byte.
 """
 
 from __future__ import annotations
@@ -188,10 +189,11 @@ def _evaluate(rows: np.ndarray, columns, scalar) -> np.ndarray:
     """A map evaluated on every row of an (N, k) array.
 
     `columns` is the map's column form: the bits of `scalar`, its scalar
-    function of one row, wherever finite, and NaN or infinite on the rows
-    where `scalar` raises or branches (see hopf.Forms).  Exactly the rows
-    not finite are evaluated again by `scalar`, in input order, so that
-    they end as the scalar call does.  A result that is still not finite
+    function of one row, wherever `scalar` returns, and NaN or infinite on
+    the rows where it raises (see hopf.Forms).  Exactly the rows not
+    finite are evaluated again by `scalar`, in input order, so that they
+    end as the scalar call does: with its error, or with its result on a
+    row within a unit check's margin.  A result that is still not finite
     has overflowed: a domain error naming the row.
     """
     with np.errstate(all="ignore"):

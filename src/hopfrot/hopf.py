@@ -6,8 +6,8 @@ g -> g i g*; the Bloch map is the physicist's state-to-sphere projection
 (a, b) -> stereo3_inv(conj(a/b)).
 
 Each map and lift also has a column form (`*_columns`), which evaluates it
-on float64 component columns with the scalar function's own formulas but
-without its guards and branches; see `MAPS` and `LIFTS`.
+on float64 component columns with the scalar function's own formulas and
+branches, but without its checks of the input; see `MAPS` and `LIFTS`.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .errors import DomainError, NotUnit, ZeroVector
 from .quat import (
     EPS_NORM,
     I,
+    ComplexColumn,
     ComplexPair,
     Quaternion,
     cmul,
@@ -44,7 +45,7 @@ from .sphere import (
     ratio,
     require_sphere,
     stereo3_inv,
-    stereo3_inv_parts,
+    stereo3_inv_ratio,
 )
 
 
@@ -92,10 +93,9 @@ def bloch(v: ComplexPair) -> np.ndarray:
 
 
 def bloch_columns(v: ComplexPair):
-    """bloch on a pair of complex columns, as component columns; rows
-    where w = 0 or z/w is too large to square come out NaN or infinite."""
-    u = (v.z / v.w).conjugate()
-    return stereo3_inv_parts(u.real, u.imag)
+    """bloch on a pair of complex columns, as component columns, without
+    its checks of the input; rows where z = w = 0 come out NaN."""
+    return stereo3_inv_ratio(v.z, v.w, ComplexColumn.conjugate)
 
 
 def hopf_classic(v: ComplexPair) -> np.ndarray:
@@ -108,11 +108,9 @@ def hopf_classic(v: ComplexPair) -> np.ndarray:
 
 def hopf_classic_columns(*v):
     """hopf_classic on component columns (Re z, Im z, Re w, Im w), without
-    the unit check; rows where the representative's w = 0 or z/w is too
-    large to square come out NaN or infinite."""
+    the unit check."""
     rep = canonical(pair_of_columns(*v))
-    u = rep.z / rep.w
-    return stereo3_inv_parts(u.real, u.imag)
+    return stereo3_inv_ratio(rep.z, rep.w)
 
 
 def reverse(p) -> np.ndarray:
@@ -191,9 +189,11 @@ def _quat_lift(x, y, z, s):
 
 
 def lift_quat_hopf_columns(x, y, z):
-    """lift_quat_hopf on point columns; the rows it pins come out NaN."""
+    """lift_quat_hopf on point columns, pinned bases included."""
     s = each(_axis_norm, y, z)
-    return _quat_lift(x, y, z, np.where(s <= EPS_NORM, np.nan, s))
+    pin = np.where(x > 0, 1.0, 0.0)  # 1 at (1,0,0), j at (-1,0,0)
+    pinned = (pin, 0.0, 1.0 - pin, 0.0)
+    return tuple(np.where(s <= EPS_NORM, a, b) for a, b in zip(pinned, _quat_lift(x, y, z, s)))
 
 
 def fiber_sample(variant: HopfVariant, base, count: int) -> list[ComplexPair]:
@@ -225,10 +225,11 @@ def _unit_rows(*v):
 
 
 class Forms(NamedTuple):
-    """A function's scalar form and its column form, which gives the bits of
-    `scalar` on every row where it is finite, and is NaN or infinite on every
-    row where `scalar` raises, takes a branch or returns None (and maybe on
-    a few more)."""
+    """A function's scalar form and its column form.  On rows of finite
+    values (for a lift, points unit to rounding), the column form gives
+    the bits of `scalar` wherever `scalar` returns, and is NaN or infinite
+    wherever it raises; it is NaN too on the few rows within
+    `_unit_rows`' margin that a scalar unit check passes."""
 
     scalar: Callable
     columns: Callable

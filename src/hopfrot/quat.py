@@ -111,10 +111,13 @@ class ComplexColumn:
     """A column of complex numbers, held as float64 columns of real and
     imaginary parts.
 
-    Its arithmetic rounds as CPython's complex type does, row by row (a
-    real operand is promoted to (x, 0.0), as CPython 3.11 promotes it),
-    and abs() is libm's hypot, element by element.  So a formula written
-    for Python complex numbers runs on it unchanged, with the same bits.
+    It has the operators `+`, `-` (binary and unary), `*` and `/` with the
+    column on the left, `*` with a number on the left too, abs() and
+    conjugate().  They round as CPython's complex type does, row by row (a
+    real operand is promoted to (x, 0.0), as CPython 3.11 promotes it), and
+    abs() is libm's hypot, element by element.  So a formula written for
+    Python complex numbers with these operators runs on it with the same
+    bits; `2.0 + col`, `2.0 - col` and `2.0 / col` raise TypeError.
     """
 
     __slots__ = ("real", "imag")

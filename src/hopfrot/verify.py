@@ -3,23 +3,25 @@
 Every identity relating two evaluation routes (quaternion conjugation vs
 matrix action, direct maps vs chart/stereographic pipelines, the two
 rotation conventions) is a named check: its samplers, in draw order, and
-its deviation, which evaluates both routes on one sample and returns their
-Euclidean distance in the final space.  The deviation has two forms
-(`hopf.Forms`).  The scalar form takes one sample and is the definition of
-the check.  The column form takes a block of samples as float64 columns
-and runs the same formulas through the library's column kernels; it gives
-the scalar form's bits on every row where it is finite.
+one function that takes a block of samples as float64 columns and runs
+both routes through the library's column kernels.  It returns their
+Euclidean distance in the final space on every row, and the pole rows:
+the samples to redraw.  The definition of each check, one sample at a
+time, is its deviation in tests/verify_reference.py; on every row that is
+not a pole row the column form gives that deviation's bits, and its pole
+rows are exactly the samples the deviation redraws.
 
 run_check draws each block from a fixed PCG64 stream, the v1 stream: the
 values of each sample in draw order, as one sample at a time would draw
-them.  It evaluates the block on columns and hands the rows whose column
-deviation is not finite back to the scalar form, in sample order.  Reports
-are deterministic for a given (name, samples, seed).
+them.  It accepts the rows off the pole, in sample order, until the count
+is complete; no row is evaluated one at a time.  A deviation that is not
+finite on an accepted row fails the check.  Reports are deterministic for
+a given (name, samples, seed).
 
 Samples landing within 1e-6 of a chart or stereographic pole are redrawn
 (and counted): both routes are exact at the pole itself, but division
 just next to it amplifies rounding into meaningless deviations.  Every
-value of a sample is drawn before its deviation asks for a redraw, so a
+value of a sample is drawn before the check decides on a redraw, so a
 redraw only filters the stream.
 """
 
@@ -34,20 +36,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import UnknownCheck
-from .hopf import (
-    LIFTS,
-    MAPS,
-    Forms,
-    HopfVariant,
-    bloch,
-    bloch_columns,
-    hopf_classic,
-    lift_bloch,
-    lift_quat_hopf,
-    quat_hopf,
-    reverse,
-    sandwich,
-)
+from .hopf import LIFTS, MAPS, HopfVariant, bloch_columns, reverse, sandwich
 from .quat import (
     ComplexColumn,
     ComplexPair,
@@ -61,27 +50,9 @@ from .quat import (
     transpose_map,
     vector_norm,
 )
-from .rotations import AxisAngle, gb, gq, matvec_as_quat, reconcile, rotate, rotate_via_quat_hopf
-from .sphere import (
-    INFINITY,
-    ExtendedComplex,
-    canonical,
-    chart,
-    ext_conjugate,
-    ext_mul_i,
-    project,
-    stereo1_inv,
-    stereo3_inv,
-    stereo3_inv_parts,
-)
-from .su2 import (
-    SU2Matrix,
-    act_on_proj,
-    act_on_vector,
-    quat_from_su2,
-    su2_from_quat,
-    su2_multiply,
-)
+from .rotations import AxisAngle, matvec_as_quat
+from .sphere import canonical, project, stereo3_inv_ratio
+from .su2 import SU2Matrix, act_on_vector, quat_from_su2, su2_multiply
 
 _POLE_GUARD = 1e-6
 
@@ -229,58 +200,25 @@ def _draw(draws: dict, rng, n: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# deviation helpers (exactly rounded, like the samplers, so that reports do
-# not depend on the BLAS kernel)
+# distances (exactly rounded, like the samplers, so that reports do not
+# depend on the BLAS kernel)
 
 
-def _dist3(a, b) -> float:
-    return vector_norm((np.asarray(a) - np.asarray(b)).tolist())
-
-
-def _dist_pair(a, b) -> float:
-    """Distance in C^2 between two objects with z and w (pairs or SU(2))."""
-    dz = a.z - b.z
-    dw = a.w - b.w
-    return vector_norm((dz.real, dz.imag, dw.real, dw.imag))
-
-
-def _raw_chart(v: ComplexPair) -> ExtendedComplex:
-    # template pipelines evaluate chart . project on the raw representative,
-    # bypassing ProjectivePoint canonicalization, so they exercise a
-    # genuinely different numeric route than the direct maps
-    if v.w == 0:
-        return INFINITY
-    return ExtendedComplex(v.z / v.w)
-
-
-# the same on columns; a row where the scalar form branches comes out NaN
-
-
-def _dist3_columns(a, b) -> np.ndarray:
+def _dist3(a, b) -> np.ndarray:
     return _norms(*(np.asarray(a) - np.asarray(b)))
 
 
-def _dist_pair_columns(a, b) -> np.ndarray:
+def _dist_pair(a, b) -> np.ndarray:
+    """Distance in C^2 between two objects with z and w (pairs or SU(2))."""
     dz = a.z - b.z
     dw = a.w - b.w
     return _norms(dz.real, dz.imag, dw.real, dw.imag)
 
 
-def _stereo1_inv_columns(u: ComplexColumn):
-    # NaN where the scalar stereo1_inv returns its pole: u not finite, or
-    # |u|^2 beyond the float range (as for stereo3_inv_parts itself)
-    x, y, z = stereo3_inv_parts(u.real, u.imag)
-    return z, x, y
-
-
-def _nan_where(rows, dev) -> np.ndarray:
-    return np.where(rows, np.nan, dev)
-
-
 # The samplers' quaternions, axes and points are unit to rounding, and so
 # are the products and lifts built from them: the unit checks of
 # su2_from_quat, quat_hopf, conjugate_action and the lifts pass on every
-# row, and the column forms skip them.
+# row, and the checks skip them.
 
 
 def _su2(q: Quaternion) -> SU2Matrix:
@@ -290,6 +228,12 @@ def _su2(q: Quaternion) -> SU2Matrix:
 
 def _quat_hopf(g: Quaternion):
     return MAPS[HopfVariant.QUAT].columns(g.x0, g.x1, g.x2, g.x3)
+
+
+def _stereo1_inv_mul_i(v: ComplexPair):
+    """stereo1_inv(ext_mul_i(ratio(v.z, v.w)))."""
+    x, y, z = stereo3_inv_ratio(v.z, v.w, lambda u: 1j * u)
+    return z, x, y
 
 
 def _phase(t) -> Quaternion:
@@ -322,221 +266,115 @@ def _lift_bloch(p) -> ComplexPair:
 
 
 # ---------------------------------------------------------------------------
-# the catalog, name -> (deviation forms, samplers by sample name in draw
-# order); a deviation takes one sample's values in that order and returns
-# the distance between its routes, or None to request a redraw (near-pole
-# sample)
+# the catalog, name -> (check, samplers by sample name in draw order); a
+# check takes a block of samples' values in that order, as the samplers'
+# column forms, and returns (the distance between its routes, the pole
+# rows to redraw: a bool column, or False where the check has no pole)
 
 
 def _rephrase(q, v):
-    g = su2_from_quat(q)
-    acted = act_on_vector(g, v)
-    if abs(v.w) < _POLE_GUARD * v.norm() or abs(acted.w) < _POLE_GUARD * acted.norm():
-        return None
-    left = act_on_proj(g, project(v)).rep
-    right = project(acted).rep
-    return _dist_pair(left, right)
-
-
-def _rephrase_columns(q, v):
     g = _su2(q)
     acted = act_on_vector(g, v)
     pole = (abs(v.w) < _POLE_GUARD * v.norm()) | (abs(acted.w) < _POLE_GUARD * acted.norm())
-    left = canonical(act_on_vector(g, canonical(v)))
-    return _nan_where(pole, _dist_pair_columns(left, canonical(acted)))
+    left = canonical(act_on_vector(g, canonical(v)))  # act_on_proj(g, project(v))
+    return _dist_pair(left, canonical(acted)), pole
 
 
 def _quat_identification(q):
     base = project(ComplexPair(1 + 0j, 0j))
-    moved = act_on_proj(su2_from_quat(q), base)
-    if abs(moved.rep.w) < _POLE_GUARD:
-        return None
-    left = stereo1_inv(ext_mul_i(chart(moved)))
-    right = quat_hopf(q)
-    return _dist3(left, right)
-
-
-def _quat_identification_columns(q):
-    base = project(ComplexPair(1 + 0j, 0j))
     moved = canonical(act_on_vector(_su2(q), base.rep))
-    left = _stereo1_inv_columns(1j * (moved.z / moved.w))
-    return _nan_where(abs(moved.w) < _POLE_GUARD, _dist3_columns(left, _quat_hopf(q)))
+    return _dist3(_stereo1_inv_mul_i(moved), _quat_hopf(q)), abs(moved.w) < _POLE_GUARD
 
 
 def _template_classic(v):
-    if abs(v.w) < _POLE_GUARD:
-        return None
-    pipeline = stereo3_inv(_raw_chart(v))
-    return _dist3(pipeline, hopf_classic(v))
-
-
-def _template_classic_columns(v):
-    u = v.z / v.w
-    pipeline = stereo3_inv_parts(u.real, u.imag)
+    # the pipeline evaluates chart . project on the raw representative,
+    # bypassing canonicalization, unlike the direct map
+    pipeline = stereo3_inv_ratio(v.z, v.w)
     direct = MAPS[HopfVariant.CLASSIC].columns(v.z.real, v.z.imag, v.w.real, v.w.imag)
-    return _nan_where(abs(v.w) < _POLE_GUARD, _dist3_columns(pipeline, direct))
+    return _dist3(pipeline, direct), abs(v.w) < _POLE_GUARD
 
 
 def _template_quat(q):
     t = transpose_map(to_complex_pair(q))
-    if abs(t.w) < _POLE_GUARD:
-        return None
-    pipeline = stereo1_inv(ext_mul_i(_raw_chart(t)))
-    return _dist3(pipeline, quat_hopf(q))
-
-
-def _template_quat_columns(q):
-    t = transpose_map(to_complex_pair(q))
-    pipeline = _stereo1_inv_columns(1j * (t.z / t.w))
-    return _nan_where(abs(t.w) < _POLE_GUARD, _dist3_columns(pipeline, _quat_hopf(q)))
+    return _dist3(_stereo1_inv_mul_i(t), _quat_hopf(q)), abs(t.w) < _POLE_GUARD
 
 
 def _template_bloch(v):
-    if abs(v.w) < _POLE_GUARD * v.norm():
-        return None
-    # canonical projective route here; bloch itself divides directly,
-    # so the two sides are independent computations
-    pipeline = stereo3_inv(ext_conjugate(chart(project(v))))
-    return _dist3(pipeline, bloch(v))
-
-
-def _template_bloch_columns(v):
     # stereo3_inv . ext_conjugate . chart is bloch's formula, here on the
-    # canonical representative
+    # canonical representative; bloch itself divides directly
     pipeline = bloch_columns(canonical(v))
-    return _nan_where(abs(v.w) < _POLE_GUARD * v.norm(), _dist3_columns(pipeline, bloch_columns(v)))
+    return _dist3(pipeline, bloch_columns(v)), abs(v.w) < _POLE_GUARD * v.norm()
 
 
 def _compare_bloch_quat(s):
-    if abs(s.w) < _POLE_GUARD:
-        return None
-    left = bloch(transpose_map(s))
-    right = reverse(quat_hopf(from_complex_pair(s)))
-    return _dist3(left, right)
-
-
-def _compare_bloch_quat_columns(s):
     left = bloch_columns(transpose_map(s))
     right = reverse(_quat_hopf(from_complex_pair(s)))
-    return _nan_where(abs(s.w) < _POLE_GUARD, _dist3_columns(left, right))
+    return _dist3(left, right), abs(s.w) < _POLE_GUARD
 
 
 def _odot_lemma(q, h):
-    g = su2_from_quat(q)
-    return _dist_pair(act_on_vector(g, h), matvec_as_quat(g, h))
-
-
-def _odot_lemma_columns(q, h):
     g = _su2(q)
-    return _dist_pair_columns(act_on_vector(g, h), matvec_as_quat(g, h))
+    return _dist_pair(act_on_vector(g, h), matvec_as_quat(g, h)), False
 
 
 def _reconcile(aa, p, fq, fb):
-    via_quat, via_bloch = reconcile(aa, p, fq, fb)
-    direct = rotate(aa, p)
-    return max(_dist3(via_quat, via_bloch), _dist3(via_quat, direct))
-
-
-def _reconcile_columns(aa, p, fq, fb):
     g = _gq(aa)
     via_quat = _quat_hopf(multiply(g, multiply(_lift_quat_hopf(p), _phase(fq))))
     via_bloch = bloch_columns(act_on_vector(_gb(aa), _lift_bloch(p).scale(fb)))
     direct = sandwich(g, Quaternion(0.0, *p))  # rotate
-    return np.maximum(_dist3_columns(via_quat, via_bloch), _dist3_columns(via_quat, direct))
+    return np.maximum(_dist3(via_quat, via_bloch), _dist3(via_quat, direct)), False
 
 
 def _derivation_16_18(aa, h):
-    g_mat = gb(aa)
-    acted = act_on_vector(g_mat, h)
-    if abs(h.w) < _POLE_GUARD or abs(acted.w) < _POLE_GUARD:
-        return None
-    g_tilde = quat_from_su2(g_mat)
-    h_tilde = from_complex_pair(h)
-    e1 = bloch(acted)
-    e2 = bloch(to_complex_pair(multiply(h_tilde, transpose(g_tilde))))
-    e3 = reverse(quat_hopf(multiply(g_tilde, transpose(h_tilde))))
-    e4 = rotate(aa, bloch(h))
-    return max(_dist3(e1, e2), _dist3(e2, e3), _dist3(e3, e4))
-
-
-def _derivation_16_18_columns(aa, h):
     g_mat = _gb(aa)
     acted = act_on_vector(g_mat, h)
     e1 = bloch_columns(acted)
     e2 = bloch_columns(matvec_as_quat(g_mat, h))  # h~ * transpose(g~)
     e3 = reverse(_quat_hopf(multiply(quat_from_su2(g_mat), transpose(from_complex_pair(h)))))
     e4 = sandwich(_gq(aa), Quaternion(0.0, *bloch_columns(h)))  # rotate
-    dev = np.maximum(np.maximum(_dist3_columns(e1, e2), _dist3_columns(e2, e3)), _dist3_columns(e3, e4))
-    return _nan_where((abs(h.w) < _POLE_GUARD) | (abs(acted.w) < _POLE_GUARD), dev)
+    dev = np.maximum(np.maximum(_dist3(e1, e2), _dist3(e2, e3)), _dist3(e3, e4))
+    return dev, (abs(h.w) < _POLE_GUARD) | (abs(acted.w) < _POLE_GUARD)
 
 
 def _final_diagram(aa, p, fq, fb):
     # the Bloch route builds g_B from g_Q by the convention relation
     # g_B(theta, n) = g_Q(-theta, reverse n) and acts by matvec_as_quat,
-    # where reconcile calls gb and act_on_vector; reversing the axis tuple
-    # keeps its components Python floats
-    phase = Quaternion(math.cos(fq), math.sin(fq), 0.0, 0.0)
-    top = rotate_via_quat_hopf(aa, multiply(lift_quat_hopf(p), phase))
-    g_b = su2_from_quat(gq(AxisAngle(-aa.theta, aa.axis[::-1])))
-    bottom = bloch(matvec_as_quat(g_b, lift_bloch(p).scale(fb)))
-    middle = rotate(aa, p)
-    return max(_dist3(top, middle), _dist3(bottom, middle), _dist3(top, bottom))
-
-
-def _final_diagram_columns(aa, p, fq, fb):
+    # where reconcile calls gb and act_on_vector
     g = _gq(aa)
     top = _quat_hopf(multiply(g, multiply(_lift_quat_hopf(p), _phase(fq))))
     g_b = _su2(_gq(_Rotations(-aa.theta, aa.axis[::-1])))
     bottom = bloch_columns(matvec_as_quat(g_b, _lift_bloch(p).scale(fb)))
     middle = sandwich(g, Quaternion(0.0, *p))  # rotate
-    dev = np.maximum(_dist3_columns(top, middle), _dist3_columns(bottom, middle))
-    return np.maximum(dev, _dist3_columns(top, bottom))
+    dev = np.maximum(_dist3(top, middle), _dist3(bottom, middle))
+    return np.maximum(dev, _dist3(top, bottom)), False
 
 
 def _iso_su2_quat(q1, q2):
-    left = su2_from_quat(multiply(q1, q2))
-    right = su2_multiply(su2_from_quat(q1), su2_from_quat(q2))
-    return _dist_pair(left, right)
-
-
-def _iso_su2_quat_columns(q1, q2):
-    return _dist_pair_columns(_su2(multiply(q1, q2)), su2_multiply(_su2(q1), _su2(q2)))
+    return _dist_pair(_su2(multiply(q1, q2)), su2_multiply(_su2(q1), _su2(q2))), False
 
 
 def _fiber_invariance(q, t, v, lam):
-    if abs(v.w) < _POLE_GUARD:
-        return None
-    phase = Quaternion(math.cos(t), math.sin(t), 0.0, 0.0)
-    dev_q = _dist3(quat_hopf(multiply(q, phase)), quat_hopf(q))
-    dev_b = _dist3(bloch(v.scale(lam)), bloch(v))
-    return max(dev_q, dev_b)
-
-
-def _fiber_invariance_columns(q, t, v, lam):
-    dev_q = _dist3_columns(_quat_hopf(multiply(q, _phase(t))), _quat_hopf(q))
-    dev_b = _dist3_columns(bloch_columns(v.scale(lam)), bloch_columns(v))
-    return _nan_where(abs(v.w) < _POLE_GUARD, np.maximum(dev_q, dev_b))
+    dev_q = _dist3(_quat_hopf(multiply(q, _phase(t))), _quat_hopf(q))
+    dev_b = _dist3(bloch_columns(v.scale(lam)), bloch_columns(v))
+    return np.maximum(dev_q, dev_b), abs(v.w) < _POLE_GUARD
 
 
 _ROTATION_DRAWS = dict(aa=_AXIS_ANGLE, p=_S2_POINT, fiber_q=_ANGLE, fiber_b=_FIBER_SCALAR)
 
 CHECKS = {
-    "rephrase": (Forms(_rephrase, _rephrase_columns), dict(g=_UNIT_QUAT, v=_NONZERO_PAIR)),
-    "quat-identification": (Forms(_quat_identification, _quat_identification_columns), dict(g=_UNIT_QUAT)),
-    "template-classic": (Forms(_template_classic, _template_classic_columns), dict(v=_UNIT_PAIR)),
-    "template-quat": (Forms(_template_quat, _template_quat_columns), dict(g=_UNIT_QUAT)),
-    "template-bloch": (Forms(_template_bloch, _template_bloch_columns), dict(v=_NONZERO_PAIR)),
-    "compare-bloch-quat": (Forms(_compare_bloch_quat, _compare_bloch_quat_columns), dict(s=_UNIT_PAIR)),
-    "odot-lemma": (Forms(_odot_lemma, _odot_lemma_columns), dict(g=_UNIT_QUAT, h=_NONZERO_PAIR)),
-    "reconcile": (Forms(_reconcile, _reconcile_columns), _ROTATION_DRAWS),
-    "derivation-16-18": (
-        Forms(_derivation_16_18, _derivation_16_18_columns),
-        dict(aa=_AXIS_ANGLE, h=_UNIT_PAIR),
-    ),
-    "final-diagram": (Forms(_final_diagram, _final_diagram_columns), _ROTATION_DRAWS),
-    "iso-su2-quat": (Forms(_iso_su2_quat, _iso_su2_quat_columns), dict(q1=_UNIT_QUAT, q2=_UNIT_QUAT)),
+    "rephrase": (_rephrase, dict(g=_UNIT_QUAT, v=_NONZERO_PAIR)),
+    "quat-identification": (_quat_identification, dict(g=_UNIT_QUAT)),
+    "template-classic": (_template_classic, dict(v=_UNIT_PAIR)),
+    "template-quat": (_template_quat, dict(g=_UNIT_QUAT)),
+    "template-bloch": (_template_bloch, dict(v=_NONZERO_PAIR)),
+    "compare-bloch-quat": (_compare_bloch_quat, dict(s=_UNIT_PAIR)),
+    "odot-lemma": (_odot_lemma, dict(g=_UNIT_QUAT, h=_NONZERO_PAIR)),
+    "reconcile": (_reconcile, _ROTATION_DRAWS),
+    "derivation-16-18": (_derivation_16_18, dict(aa=_AXIS_ANGLE, h=_UNIT_PAIR)),
+    "final-diagram": (_final_diagram, _ROTATION_DRAWS),
+    "iso-su2-quat": (_iso_su2_quat, dict(q1=_UNIT_QUAT, q2=_UNIT_QUAT)),
     "fiber-invariance": (
-        Forms(_fiber_invariance, _fiber_invariance_columns),
+        _fiber_invariance,
         dict(g=_UNIT_QUAT, theta=_ANGLE, v=_UNIT_PAIR, scalar=_FIBER_SCALAR),
     ),
 }
@@ -553,42 +391,25 @@ _MAX_BLOCK = 1 << 14
 
 def run_check(check: DiagramCheck) -> CheckReport:
     """Run one named check and report the worst observed deviation."""
-    forms, draws = CHECKS[check.name]
+    columns, draws = CHECKS[check.name]
     rng = np.random.Generator(np.random.PCG64(check.seed))
     blocks = []  # (sample columns, accepted rows, their deviations), in stream order
     need = check.samples
-    resampled = in_a_row = 0
+    resampled = in_a_row = 0  # redraws, in all and since the last accepted row
     while need:
         sample = _draw(draws, rng, min(max(need, _MIN_BLOCK), _MAX_BLOCK))
         with np.errstate(all="ignore"):
-            dev = forms.columns(*sample)
-        accepted = np.ones(len(dev), dtype=bool)
-        done = 0  # rows before this one are decided
-        for i in np.flatnonzero(~np.isfinite(dev)).tolist():
-            if i - done >= need:  # the finite rows before i complete the count
-                break
-            need -= i - done
-            if i > done:
-                in_a_row = 0
-            done = i + 1
-            d = forms.scalar(*(_row(x, i) for x in sample))
-            if d is None:
-                accepted[i] = False
-                resampled += 1
-                in_a_row += 1
-                if in_a_row > _MAX_REDRAWS:
-                    raise RuntimeError(f"check {check.name}: sampler stuck near a pole")
-                continue
-            dev[i] = d
-            need -= 1
-            in_a_row = 0
-            if not need:
-                break
-        take = min(need, len(dev) - done)
-        if take:
-            in_a_row = 0
-        need -= take
-        rows = np.flatnonzero(accepted[: done + take])
+            dev, pole = columns(*sample)
+        rows = np.flatnonzero(~np.broadcast_to(pole, dev.shape))[:need]
+        # the row that completes the count ends the block; no later one counts
+        end = int(rows[-1]) + 1 if len(rows) == need else len(dev)
+        # the runs of redraws before, between and after the accepted rows
+        runs = np.diff(np.concatenate(([-1 - in_a_row], rows, [end]))) - 1
+        if runs.max() > _MAX_REDRAWS:
+            raise RuntimeError(f"check {check.name}: sampler stuck near a pole")
+        in_a_row = int(runs[-1])
+        resampled += end - len(rows)
+        need -= len(rows)
         blocks.append((sample, rows, dev[rows]))
     devs = np.concatenate([d for _, _, d in blocks])
     failures = int(np.count_nonzero(~(devs <= check.tolerance)))  # NaN and infinity fail too

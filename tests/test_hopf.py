@@ -27,7 +27,7 @@ from hopfrot import (
     transpose_map,
 )
 from hopfrot.hopf import LIFTS, MAPS
-from hopfrot.quat import J, K, ONE, vector_norm
+from hopfrot.quat import EPS_NORM, J, K, ONE, vector_norm
 from hopfrot.sphere import finite
 
 RNG = np.random.default_rng(11)
@@ -257,6 +257,7 @@ def map_rows():
         [0.0, 0.0, 1.0, -0.0], [-0.0, -0.0, -0.0, 1.0], [3.0, 0.0, 0.0, 0.0], [0.6, 0.8, 0.0, -0.0],
         [1e300, 1e300, 1e-300, 0.0], [1e-300, -1e-300, 1e-300, 1e-300], [1e200, 0.0, 0.0, 0.0],
         [1.7e308, -1.7e308, 1.7e308, 1.7e308], [5e-324, 0.0, 0.0, 5e-324], [0.0, 0.0, 1e-200, 0.0],
+        [1.0, 0.0, 1e-200, 0.0], [-0.0, 1.0, 0.0, -1e-200],
     ]
     near = unit * (1.0 + rng.uniform(-3e-9, 3e-9, (200, 1)))
     return np.concatenate([
@@ -294,9 +295,11 @@ def scalar_of_row(kind, variant):
 @pytest.mark.parametrize("variant", list(HopfVariant), ids=[v.value for v in HopfVariant])
 @pytest.mark.parametrize("kind", ["map", "lift"])
 def test_column_forms_hand_back_by_nan(kind, variant):
-    # a column form gives the scalar bits wherever it is finite, and is not
-    # finite wherever the scalar function raises (the batch CLI re-runs
-    # exactly those rows)
+    # a column form gives the scalar bits wherever the scalar function
+    # returns, branch rows included (w = 0, a ratio too large to square, the
+    # pinned bases of the quaternion lift), and is not finite wherever it
+    # raises (the batch CLI re-runs exactly those rows); the maps that test
+    # unit norm may also be NaN within _unit_rows' margin
     forms = (MAPS if kind == "map" else LIFTS)[variant]
     rows = map_rows() if kind == "map" else lift_rows()
     with np.errstate(all="ignore"):
@@ -310,7 +313,10 @@ def test_column_forms_hand_back_by_nan(kind, variant):
         except DomainError:
             assert not finite, row
             continue
-        if finite:
-            assert repr(col) == repr(want), row
-            compared += 1
+        margin = kind == "map" and variant is not HopfVariant.BLOCH
+        if margin and abs(sum(c * c for c in row) - 1.0) > EPS_NORM:
+            assert not finite or repr(col) == repr(want), row
+            continue
+        assert repr(col) == repr(want), row
+        compared += 1
     assert compared >= 200  # at least the generic unit rows

@@ -1,5 +1,6 @@
-"""Every name a module of src/ or tests/ imports is referenced in it, and
-every private module-level name of src/ is read somewhere in src/."""
+"""Every name a module of src/ or tests/ imports is referenced in it, every
+private module-level name of src/ is read somewhere in src/, and every one
+of tests/ somewhere in src/ or tests/."""
 
 import ast
 from collections import Counter
@@ -71,4 +72,7 @@ def unread_privates(paths: list[Path]) -> list[str]:
 
 
 def test_no_unread_private_names():
-    assert unread_privates(sorted((ROOT / "src" / "hopfrot").glob("*.py"))) == []
+    src = sorted((ROOT / "src" / "hopfrot").glob("*.py"))
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    assert unread_privates(src) == []
+    assert [u for u in unread_privates(src + tests) if u.startswith("tests/")] == []

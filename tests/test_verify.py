@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hopfrot import CATALOG, CheckReport, DiagramCheck, UnknownCheck, run_all, run_check, verify
-from hopfrot.hopf import Forms
+from hopfrot.quat import ComplexPair, Quaternion, pair_of_columns
 from hopfrot.verify import subseed
 import verify_reference
 from snapshot import run_main
@@ -97,31 +97,51 @@ def test_unit_quat_sampler_is_exactly_rounded():
     assert verify._row(g, 18).x0 == 0.5846807198571102
 
 
+ROW_NUMBER = verify.Sampler(1, (), lambda v: np.arange(len(v)))  # draws a normal, gives i
+
+
+def stub(monkeypatch, devs, poles):
+    """Replace odot-lemma by a check whose sample i is {"i": i}, with
+    deviation devs[i] and pole row poles[i]; the rows past them are pole
+    rows with NaN deviations, which run_check must never reach."""
+    def columns(i):
+        pad = [math.nan] * (len(i) - len(devs))
+        return np.array(devs + pad), np.array(poles + [True] * len(pad))
+
+    monkeypatch.setitem(verify.CHECKS, "odot-lemma", (columns, {"i": ROW_NUMBER}))
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_deviation_fails_and_is_worst(monkeypatch, bad):
-    # a non-finite deviation outranks every finite one, the last of them wins;
-    # the stub draws sample i as {"i": i}.  Its column form is NaN where the
-    # deviation is not finite and past the five samples, where the scalar
-    # form raises: run_check must hand back those rows and stop before these.
-    devs = [1e-16, bad, 2e-16, bad, 3e-16]
-    row_number = verify.Sampler(1, (), lambda v: np.arange(len(v)))  # draws a normal, gives i
-
-    def columns(i):
-        finite = [d if math.isfinite(d) else math.nan for d in devs]
-        return np.array(finite + [math.nan] * (len(i) - len(devs)))
-
-    monkeypatch.setitem(verify.CHECKS, "odot-lemma", (Forms(lambda i: devs[i], columns), {"i": row_number}))
+    # a non-finite deviation outranks every finite one, the last of them wins
+    stub(monkeypatch, [1e-16, bad, 2e-16, bad, 3e-16], [False] * 5)
     report = run_check(DiagramCheck("odot-lemma", 5, 0, 1e-9))
     assert report.failures == 2
+    assert report.resampled == 0
     assert report.worst_input == '{"i": 3}'
     assert not math.isfinite(report.max_deviation)
     assert report.to_dict()["max_deviation"] is None
 
 
+def test_nan_deviation_on_a_pole_row_is_a_redraw(monkeypatch):
+    # the pole rows decide a redraw, never the deviation: NaN on a pole row
+    # is a redraw, and NaN on an accepted row fails
+    stub(monkeypatch, [1e-16, math.nan, 2e-16], [False, True, False])
+    report = run_check(DiagramCheck("odot-lemma", 2, 0, 1e-9))
+    assert (report.resampled, report.failures, report.max_deviation) == (1, 0, 2e-16)
+    assert report.worst_input == '{"i": 2}'
+    stub(monkeypatch, [1e-16, math.nan, 2e-16], [False, False, False])
+    report = run_check(DiagramCheck("odot-lemma", 2, 0, 1e-9))
+    assert (report.resampled, report.failures) == (0, 1)
+    assert report.worst_input == '{"i": 1}'
+
+
 def test_nan_deviation_fails_the_cli(monkeypatch):
+    def check(g):
+        return np.full(len(g), math.nan), False
+
     one = verify.Sampler(1, (), lambda v: np.ones(len(v), dtype=int))
-    forms = Forms(lambda g: float("nan"), lambda g: np.full(len(g), math.nan))
-    monkeypatch.setitem(verify.CHECKS, "odot-lemma", (forms, {"g": one}))
+    monkeypatch.setitem(verify.CHECKS, "odot-lemma", (check, {"g": one}))
     code, stdout, stderr = run_main(["verify", "--check", "odot-lemma", "--samples", "5"], "")
     assert code == 1, stderr
     (report,) = json.loads(stdout)["reports"]
@@ -167,8 +187,7 @@ def test_stuck_sampler_raises(monkeypatch):
 @pytest.mark.parametrize("guard", [verify._POLE_GUARD, 0.5])
 @pytest.mark.parametrize("name", EXPECTED_CATALOG)
 def test_columns_match_the_reference_runner(monkeypatch, name, guard):
-    # at guard 0.5 the checks that have a pole guard redraw often, and every
-    # redraw is a row handed back to the scalar form
+    # at guard 0.5 the checks that have a pole guard redraw often
     monkeypatch.setattr(verify, "_POLE_GUARD", guard)
     for seed in (0, 1, 7, 123):
         for samples in (1, 37, 2000):
@@ -190,6 +209,50 @@ def test_columns_match_the_reference_runner_when_stuck(monkeypatch, name):
     for run in (run_check, verify_reference.run_check):
         with pytest.raises(RuntimeError, match=message):
             run(check)
+
+
+# Rows that take the reference deviations down their branches: pairs with
+# w = 0 (as quaternions, preimages of (1, 0, 0)), pairs whose ratio z/w
+# overflows when squared, a pair with z = 0, and the S^2 points where
+# lift_quat_hopf pins its value and the stereographic poles.
+BRANCH_PAIRS = [
+    (1.0, 0.0, 0.0, 0.0), (0.0, -1.0, -0.0, 0.0), (1.0, 0.0, 1e-200, 0.0),
+    (-0.0, 1.0, 0.0, -1e-200), (0.0, 0.0, 1.0, -0.0),
+]
+BRANCH_POINTS = [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (1.0, -0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]
+
+
+def forced(x):
+    """A sampler's column form with branch rows in place of its first rows."""
+    if isinstance(x, Quaternion):
+        return Quaternion(*forced(np.array([x.x0, x.x1, x.x2, x.x3])))
+    if isinstance(x, ComplexPair):
+        return pair_of_columns(*forced(np.array([x.z.real, x.z.imag, x.w.real, x.w.imag])))
+    if isinstance(x, np.ndarray) and x.ndim == 2:
+        rows = BRANCH_PAIRS if len(x) == 4 else BRANCH_POINTS
+        x = x.copy()
+        x[:, : len(rows)] = np.array(rows).T
+    return x
+
+
+@pytest.mark.parametrize("guard", [verify._POLE_GUARD, 0.0])
+@pytest.mark.parametrize("name", EXPECTED_CATALOG)
+def test_branch_rows_match_the_reference_deviations(monkeypatch, name, guard):
+    # the pole rows are exactly the samples the reference redraws, and every
+    # other row has its deviation's bits; at guard 0 nothing is redrawn, and
+    # the branch rows go through the poles of the column forms
+    monkeypatch.setattr(verify, "_POLE_GUARD", guard)
+    columns, draws = verify.CHECKS[name]
+    rng = np.random.Generator(np.random.PCG64(subseed(0, name)))
+    sample = [forced(x) for x in verify._draw(draws, rng, 40)]
+    with np.errstate(all="ignore"):
+        dev, pole = columns(*sample)
+    pole = np.broadcast_to(pole, dev.shape)
+    for i in range(len(dev)):
+        want = verify_reference.DEVIATIONS[name](*(verify._row(x, i) for x in sample))
+        assert pole[i] == (want is None), i
+        if want is not None:
+            assert repr(dev.item(i)) == repr(want), i
 
 
 def _bits(x: np.ndarray) -> np.ndarray:
