@@ -39,9 +39,7 @@ from .hopf import (
 from .quat import (
     ComplexPair,
     Quaternion,
-    each,
     from_complex_pair,
-    pair_of_columns,
     require_unit,
     to_complex_pair,
     vector_norm,
@@ -77,7 +75,8 @@ def _load_doc(path: str | None) -> dict:
             with open(path, "r", encoding="utf-8") as f:
                 text = f.read()
         doc = json.loads(text)
-    except (OSError, ValueError) as e:  # ValueError: bad JSON, UTF-8 or int literal
+    # ValueError: bad JSON, UTF-8 or int literal; RecursionError: too deeply nested
+    except (OSError, ValueError, RecursionError) as e:
         raise ParseError(f"cannot read input document: {e}") from e
     if not isinstance(doc, dict):
         raise ParseError("input document must be a JSON object")
@@ -156,13 +155,13 @@ def _pair_rows(items: list, what: str) -> np.ndarray:
 def _renormalized(rows: np.ndarray, what: str) -> np.ndarray:
     """Scale to unit norm the rows within RENORM_BAND of it, each with a
     warning, in order; a row further off is a domain error."""
-    norms = [vector_norm(r) for r in rows.tolist()]
-    for n in norms:
+    norms = vector_norm(rows.T)
+    for n in norms.tolist():
         if n == 0.0 or abs(n - 1.0) > RENORM_BAND:
             raise DomainError(f"{what} norm {n!r} is outside the renormalization band")
         if n != 1.0:
             print(f"warning: renormalizing {what} (norm {n!r})", file=sys.stderr)
-    return rows / np.array(norms).reshape(-1, 1)
+    return rows / norms.reshape(-1, 1)
 
 
 def _unit(values: list[float], what: str) -> list[float]:
@@ -192,9 +191,8 @@ def _evaluate(rows: np.ndarray, columns, scalar) -> np.ndarray:
     function of one row, wherever `scalar` returns, and NaN or infinite on
     the rows where it raises (see hopf.Forms).  Exactly the rows not
     finite are evaluated again by `scalar`, in input order, so that they
-    end as the scalar call does: with its error, or with its result on a
-    row within a unit check's margin.  A result that is still not finite
-    has overflowed: a domain error naming the row.
+    end as the scalar call does, with its error.  A result that is still
+    not finite has overflowed: a domain error naming the row.
     """
     with np.errstate(all="ignore"):
         cols = columns(*rows.T)
@@ -293,8 +291,8 @@ def _rotate_bloch(aa: AxisAngle, p: list[float]) -> np.ndarray:
 
 def _rotate_bloch_columns(g, x, y, z):
     """_rotate_bloch on point columns, with g = gb(aa)."""
-    n = each(lambda *p: vector_norm(p), x, y, z)
-    h = pair_of_columns(*spherical_lift_columns(x / n, y / n, z / n, 1))
+    n = vector_norm((x, y, z))
+    h = to_complex_pair(Quaternion(*spherical_lift_columns(x / n, y / n, z / n, 1)))
     return tuple(n * c for c in bloch_columns(act_on_vector(g, h)))
 
 
@@ -343,7 +341,8 @@ def _cmd_fiber(args) -> int:
     base = np.array(_unit(_reals(doc["base"], 3, "base"), "base"))
     lifts = fiber_sample(variant, base, args.count)
     hopf = MAPS[variant].scalar
-    max_err = max(vector_norm((hopf(v) - base).tolist()) for v in lifts)
+    errors = np.array([hopf(v) for v in lifts]) - base
+    max_err = vector_norm(errors.T).max().item()
     if variant is HopfVariant.QUAT:
         lifts = [from_complex_pair(v) for v in lifts]
     _emit({"lifts": lifts, "roundtrip_max_error": max_err})

@@ -32,7 +32,7 @@ from .quat import (
     embed_pure,
     from_complex_pair,
     multiply,
-    pair_of_columns,
+    phase,
     require_unit,
     to_complex_pair,
     vector_norm,
@@ -109,7 +109,7 @@ def hopf_classic(v: ComplexPair) -> np.ndarray:
 def hopf_classic_columns(*v):
     """hopf_classic on component columns (Re z, Im z, Re w, Im w), without
     the unit check."""
-    rep = canonical(pair_of_columns(*v))
+    rep = canonical(to_complex_pair(Quaternion(*v)))
     return stereo3_inv_ratio(rep.z, rep.w)
 
 
@@ -143,8 +143,8 @@ def spherical_lift_columns(x, y, z, sign: int):
     # the exponent's real part is +-0.0, so its exp is exactly (cos, sin)
     # of the imaginary part
     _, angle = cmul(cmul((sign, 0.0), (0.0, 1.0)), (phi, 0.0))
-    phase = (each(math.cos, angle), each(math.sin, angle))
-    return (each(math.cos, half), 0.0, *cmul(phase, (each(math.sin, half), 0.0)))
+    e_phi = (each(math.cos, angle), each(math.sin, angle))
+    return (each(math.cos, half), 0.0, *cmul(e_phi, (each(math.sin, half), 0.0)))
 
 
 def lift_bloch(p) -> ComplexPair:
@@ -172,14 +172,10 @@ def lift_quat_hopf(p) -> Quaternion:
     i x p.  The degenerate bases are pinned: (1,0,0) -> 1, (-1,0,0) -> j.
     """
     x, y, z = require_sphere(p)
-    s = _axis_norm(y, z)
+    s = vector_norm((y, z))  # |(1,0,0) x p|
     if s <= EPS_NORM:
         return Quaternion(1.0, 0.0, 0.0, 0.0) if x > 0 else Quaternion(0.0, 0.0, 1.0, 0.0)
     return Quaternion(*_quat_lift(x, y, z, s))
-
-
-def _axis_norm(y: float, z: float) -> float:
-    return vector_norm((0.0, -z, y))  # |(1,0,0) x p|
 
 
 def _quat_lift(x, y, z, s):
@@ -190,7 +186,7 @@ def _quat_lift(x, y, z, s):
 
 def lift_quat_hopf_columns(x, y, z):
     """lift_quat_hopf on point columns, pinned bases included."""
-    s = each(_axis_norm, y, z)
+    s = vector_norm((y, z))
     pin = np.where(x > 0, 1.0, 0.0)  # 1 at (1,0,0), j at (-1,0,0)
     pinned = (pin, 0.0, 1.0 - pin, 0.0)
     return tuple(np.where(s <= EPS_NORM, a, b) for a, b in zip(pinned, _quat_lift(x, y, z, s)))
@@ -211,25 +207,22 @@ def fiber_sample(variant: HopfVariant, base, count: int) -> list[ComplexPair]:
     for m in range(count):
         t = 2.0 * math.pi * m / count
         if variant is HopfVariant.QUAT:
-            phase = Quaternion(math.cos(t), math.sin(t), 0.0, 0.0)
-            out.append(to_complex_pair(multiply(lift, phase)))
+            out.append(to_complex_pair(multiply(lift, phase(t))))
         else:
             out.append(lift.scale(cmath.exp(1j * t)))
     return out
 
 
 def _unit_rows(*v):
-    """The columns v, NaN in the rows whose norm may be off 1 by more than
-    EPS_NORM (a margin below every unit check in the package)."""
-    return np.where(abs(sum(c * c for c in v) - 1.0) > EPS_NORM, np.nan, v)
+    """The columns v, NaN in the rows that the scalar unit checks reject."""
+    return np.where(abs(vector_norm(v) - 1.0) <= EPS_NORM, v, np.nan)
 
 
 class Forms(NamedTuple):
     """A function's scalar form and its column form.  On rows of finite
     values (for a lift, points unit to rounding), the column form gives
     the bits of `scalar` wherever `scalar` returns, and is NaN or infinite
-    wherever it raises; it is NaN too on the few rows within
-    `_unit_rows`' margin that a scalar unit check passes."""
+    wherever it raises."""
 
     scalar: Callable
     columns: Callable
@@ -244,7 +237,7 @@ MAPS = {
         lambda v: quat_hopf(from_complex_pair(v)),
         lambda *g: sandwich(Quaternion(*_unit_rows(*g)), I),
     ),
-    HopfVariant.BLOCH: Forms(bloch, lambda *v: bloch_columns(pair_of_columns(*v))),
+    HopfVariant.BLOCH: Forms(bloch, lambda *v: bloch_columns(to_complex_pair(Quaternion(*v)))),
 }
 LIFTS = {
     HopfVariant.CLASSIC: Forms(lift_classic, lambda *p: spherical_lift_columns(*p, -1)),

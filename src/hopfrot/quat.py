@@ -161,8 +161,11 @@ class ComplexColumn:
         return ComplexColumn(self.real, -self.imag)
 
 
-def pair_of_columns(zr, zi, wr, wi) -> ComplexPair:
-    return ComplexPair(ComplexColumn(zr, zi), ComplexColumn(wr, wi))
+def complex_of(re, im):
+    """complex(re, im) on numbers; a ComplexColumn where a part is a column."""
+    if type(re) is _COLUMN or type(im) is _COLUMN:
+        return ComplexColumn(re, im)
+    return complex(re, im)
 
 
 def _pair_norm(z: complex, w: complex) -> float:
@@ -191,7 +194,7 @@ def norm(q: Quaternion) -> float:
     return vector_norm((q.x0, q.x1, q.x2, q.x3))
 
 
-def vector_norm(v) -> float:
+def vector_norm(v):
     """Euclidean norm of a real vector from an exactly rounded sum of squares.
 
     math.fsum rounds the sum once (Shewchuk's algorithm), so the result
@@ -200,8 +203,15 @@ def vector_norm(v) -> float:
     the squares overflow, or all underflow, the vector is first scaled by
     a power of two, which is exact.  Pass a list or tuple (ndarray.tolist())
     rather than an array: iterating numpy scalars is slower than
-    np.linalg.norm itself.
+    np.linalg.norm itself.  On a sequence of float64 columns, the column of
+    the norms of its rows, each with the bits of that row's norm.
     """
+    if type(v[0]) is _COLUMN:
+        return np.array(list(map(_norm, zip(*(c.tolist() for c in v)))))
+    return _norm(v)
+
+
+def _norm(v) -> float:
     try:
         s = math.fsum([x * x for x in v])
     except OverflowError:  # finite squares whose sum overflows
@@ -224,13 +234,16 @@ def require_unit(q: Quaternion) -> Quaternion:
 
 def to_complex_pair(q: Quaternion) -> ComplexPair:
     """(x0 + i x1, x2 + i x3); on columns, a pair of complex columns."""
-    if type(q.x0) is _COLUMN:
-        return pair_of_columns(q.x0, q.x1, q.x2, q.x3)
-    return ComplexPair(complex(q.x0, q.x1), complex(q.x2, q.x3))
+    return ComplexPair(complex_of(q.x0, q.x1), complex_of(q.x2, q.x3))
 
 
 def from_complex_pair(v: ComplexPair) -> Quaternion:
     return Quaternion(v.z.real, v.z.imag, v.w.real, v.w.imag)
+
+
+def phase(t) -> Quaternion:
+    """The unit quaternion cos t + i sin t, the fiber phase e^{it}."""
+    return Quaternion(each(math.cos, t), each(math.sin, t), 0.0, 0.0)
 
 
 def transpose(q: Quaternion) -> Quaternion:

@@ -19,8 +19,11 @@ from .quat import (
     EPS_NORM,
     ComplexPair,
     Quaternion,
+    complex_of,
+    each,
     from_complex_pair,
     multiply,
+    phase,
     require_unit,
     to_complex_pair,
     transpose,
@@ -50,19 +53,19 @@ def axis_angle(theta: float, axis) -> AxisAngle:
 
 
 def gq(aa: AxisAngle) -> Quaternion:
-    """The quaternion form of the rotation (mathematician's convention)."""
-    c = math.cos(aa.theta / 2.0)
-    s = math.sin(aa.theta / 2.0)
+    """The quaternion form of the rotation (mathematician's convention).
+    Like gb, it also takes a column of angles with a (3, N) array of axes,
+    and gives each row's bits."""
+    c, s = each(math.cos, aa.theta / 2.0), each(math.sin, aa.theta / 2.0)
     n1, n2, n3 = aa.axis
     return Quaternion(c, s * n1, s * n2, s * n3)
 
 
 def gb(aa: AxisAngle) -> SU2Matrix:
     """The Bloch-convention SU(2) matrix of the rotation."""
-    c = math.cos(aa.theta / 2.0)
-    s = math.sin(aa.theta / 2.0)
+    c, s = each(math.cos, aa.theta / 2.0), each(math.sin, aa.theta / 2.0)
     n1, n2, n3 = aa.axis
-    return SU2Matrix(complex(c, -n3 * s), s * complex(-n2, -n1))
+    return SU2Matrix(complex_of(c, -n3 * s), s * complex_of(-n2, -n1))
 
 
 def rotate(aa: AxisAngle, p) -> np.ndarray:
@@ -104,8 +107,7 @@ def reconcile(aa: AxisAngle, p, fiber_q: float, fiber_b: complex) -> tuple[np.nd
     """
     if fiber_b == 0:
         raise ZeroVector("Bloch fiber scalar must be nonzero")
-    phase = Quaternion(math.cos(fiber_q), math.sin(fiber_q), 0.0, 0.0)
-    hq = multiply(lift_quat_hopf(p), phase)
+    hq = multiply(lift_quat_hopf(p), phase(fiber_q))
     hb = lift_bloch(p).scale(complex(fiber_b))
     return rotate_via_quat_hopf(aa, hq), rotate_via_bloch(aa, hb)
 

@@ -36,21 +36,29 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import UnknownCheck
-from .hopf import LIFTS, MAPS, HopfVariant, bloch_columns, reverse, sandwich
+from .hopf import (
+    bloch_columns,
+    hopf_classic_columns,
+    lift_quat_hopf_columns,
+    reverse,
+    sandwich,
+    spherical_lift_columns,
+)
 from .quat import (
+    I,
     ComplexColumn,
     ComplexPair,
     Quaternion,
     each,
     from_complex_pair,
     multiply,
-    pair_of_columns,
+    phase,
     to_complex_pair,
     transpose,
     transpose_map,
     vector_norm,
 )
-from .rotations import AxisAngle, matvec_as_quat
+from .rotations import AxisAngle, gb, gq, matvec_as_quat
 from .sphere import canonical, project, stereo3_inv_ratio
 from .su2 import SU2Matrix, act_on_vector, quat_from_su2, su2_multiply
 
@@ -120,26 +128,22 @@ class Sampler(NamedTuple):
 
 
 class _Rotations(NamedTuple):
-    """Axis-angle rotations on columns: angles and (3, N) unit axes."""
+    """Axis-angle rotations on columns, as gq and gb take them: angles and
+    (3, N) unit axes."""
 
     theta: np.ndarray
     axis: np.ndarray
 
 
-def _norms(*columns) -> np.ndarray:
-    """vector_norm of each row of the columns."""
-    return np.array(list(map(vector_norm, zip(*(c.tolist() for c in columns)))))
-
-
 def _unit(*v) -> np.ndarray:
     """Rows of normals divided by their norms, as (len(v), N) columns."""
-    n = _norms(*v)
+    n = vector_norm(v)
     return np.array([c / n for c in v])
 
 
-def _fiber_scalar(log_magnitude, phase) -> ComplexColumn:
+def _fiber_scalar(log_magnitude, angle) -> ComplexColumn:
     # mag * complex(cos, sin), the real factor promoted as CPython 3.11 does
-    return ComplexColumn(each(math.cos, phase), each(math.sin, phase)) * each(math.exp, log_magnitude)
+    return ComplexColumn(each(math.cos, angle), each(math.sin, angle)) * each(math.exp, log_magnitude)
 
 
 _TURN = (0.0, 2.0 * math.pi)
@@ -205,14 +209,14 @@ def _draw(draws: dict, rng, n: int) -> list:
 
 
 def _dist3(a, b) -> np.ndarray:
-    return _norms(*(np.asarray(a) - np.asarray(b)))
+    return vector_norm(np.asarray(a) - np.asarray(b))
 
 
 def _dist_pair(a, b) -> np.ndarray:
     """Distance in C^2 between two objects with z and w (pairs or SU(2))."""
     dz = a.z - b.z
     dw = a.w - b.w
-    return _norms(dz.real, dz.imag, dw.real, dw.imag)
+    return vector_norm((dz.real, dz.imag, dw.real, dw.imag))
 
 
 # The samplers' quaternions, axes and points are unit to rounding, and so
@@ -226,43 +230,17 @@ def _su2(q: Quaternion) -> SU2Matrix:
     return SU2Matrix(v.z, v.w)
 
 
-def _quat_hopf(g: Quaternion):
-    return MAPS[HopfVariant.QUAT].columns(g.x0, g.x1, g.x2, g.x3)
-
-
 def _stereo1_inv_mul_i(v: ComplexPair):
     """stereo1_inv(ext_mul_i(ratio(v.z, v.w)))."""
     x, y, z = stereo3_inv_ratio(v.z, v.w, lambda u: 1j * u)
     return z, x, y
 
 
-def _phase(t) -> Quaternion:
-    return Quaternion(each(math.cos, t), each(math.sin, t), 0.0, 0.0)
-
-
-def _half_angle(aa: _Rotations):
-    half = aa.theta / 2.0
-    return each(math.cos, half), each(math.sin, half)
-
-
-def _gq(aa: _Rotations) -> Quaternion:
-    c, s = _half_angle(aa)
-    n1, n2, n3 = aa.axis
-    return Quaternion(c, s * n1, s * n2, s * n3)
-
-
-def _gb(aa: _Rotations) -> SU2Matrix:
-    c, s = _half_angle(aa)
-    n1, n2, n3 = aa.axis
-    return SU2Matrix(ComplexColumn(c, -n3 * s), ComplexColumn(-n2, -n1) * s)
-
-
-def _lift_quat_hopf(p) -> Quaternion:
-    return Quaternion(*LIFTS[HopfVariant.QUAT].columns(*p))
-
-
-def _lift_bloch(p) -> ComplexPair:
-    return pair_of_columns(*LIFTS[HopfVariant.BLOCH].columns(*p))
+def _fiber_points(p, fq, fb):
+    """The quaternion preimage lift_quat_hopf(p) * e^{i fq} and the Bloch
+    preimage fb * lift_bloch(p) of the points p."""
+    hq = multiply(Quaternion(*lift_quat_hopf_columns(*p)), phase(fq))
+    return hq, to_complex_pair(Quaternion(*spherical_lift_columns(*p, 1))).scale(fb)
 
 
 # ---------------------------------------------------------------------------
@@ -283,20 +261,20 @@ def _rephrase(q, v):
 def _quat_identification(q):
     base = project(ComplexPair(1 + 0j, 0j))
     moved = canonical(act_on_vector(_su2(q), base.rep))
-    return _dist3(_stereo1_inv_mul_i(moved), _quat_hopf(q)), abs(moved.w) < _POLE_GUARD
+    return _dist3(_stereo1_inv_mul_i(moved), sandwich(q, I)), abs(moved.w) < _POLE_GUARD
 
 
 def _template_classic(v):
     # the pipeline evaluates chart . project on the raw representative,
     # bypassing canonicalization, unlike the direct map
     pipeline = stereo3_inv_ratio(v.z, v.w)
-    direct = MAPS[HopfVariant.CLASSIC].columns(v.z.real, v.z.imag, v.w.real, v.w.imag)
+    direct = hopf_classic_columns(v.z.real, v.z.imag, v.w.real, v.w.imag)
     return _dist3(pipeline, direct), abs(v.w) < _POLE_GUARD
 
 
 def _template_quat(q):
     t = transpose_map(to_complex_pair(q))
-    return _dist3(_stereo1_inv_mul_i(t), _quat_hopf(q)), abs(t.w) < _POLE_GUARD
+    return _dist3(_stereo1_inv_mul_i(t), sandwich(q, I)), abs(t.w) < _POLE_GUARD
 
 
 def _template_bloch(v):
@@ -308,7 +286,7 @@ def _template_bloch(v):
 
 def _compare_bloch_quat(s):
     left = bloch_columns(transpose_map(s))
-    right = reverse(_quat_hopf(from_complex_pair(s)))
+    right = reverse(sandwich(from_complex_pair(s), I))
     return _dist3(left, right), abs(s.w) < _POLE_GUARD
 
 
@@ -318,20 +296,21 @@ def _odot_lemma(q, h):
 
 
 def _reconcile(aa, p, fq, fb):
-    g = _gq(aa)
-    via_quat = _quat_hopf(multiply(g, multiply(_lift_quat_hopf(p), _phase(fq))))
-    via_bloch = bloch_columns(act_on_vector(_gb(aa), _lift_bloch(p).scale(fb)))
+    g = gq(aa)
+    hq, hb = _fiber_points(p, fq, fb)
+    via_quat = sandwich(multiply(g, hq), I)
+    via_bloch = bloch_columns(act_on_vector(gb(aa), hb))
     direct = sandwich(g, Quaternion(0.0, *p))  # rotate
     return np.maximum(_dist3(via_quat, via_bloch), _dist3(via_quat, direct)), False
 
 
 def _derivation_16_18(aa, h):
-    g_mat = _gb(aa)
+    g_mat = gb(aa)
     acted = act_on_vector(g_mat, h)
     e1 = bloch_columns(acted)
     e2 = bloch_columns(matvec_as_quat(g_mat, h))  # h~ * transpose(g~)
-    e3 = reverse(_quat_hopf(multiply(quat_from_su2(g_mat), transpose(from_complex_pair(h)))))
-    e4 = sandwich(_gq(aa), Quaternion(0.0, *bloch_columns(h)))  # rotate
+    e3 = reverse(sandwich(multiply(quat_from_su2(g_mat), transpose(from_complex_pair(h))), I))
+    e4 = sandwich(gq(aa), Quaternion(0.0, *bloch_columns(h)))  # rotate
     dev = np.maximum(np.maximum(_dist3(e1, e2), _dist3(e2, e3)), _dist3(e3, e4))
     return dev, (abs(h.w) < _POLE_GUARD) | (abs(acted.w) < _POLE_GUARD)
 
@@ -340,10 +319,11 @@ def _final_diagram(aa, p, fq, fb):
     # the Bloch route builds g_B from g_Q by the convention relation
     # g_B(theta, n) = g_Q(-theta, reverse n) and acts by matvec_as_quat,
     # where reconcile calls gb and act_on_vector
-    g = _gq(aa)
-    top = _quat_hopf(multiply(g, multiply(_lift_quat_hopf(p), _phase(fq))))
-    g_b = _su2(_gq(_Rotations(-aa.theta, aa.axis[::-1])))
-    bottom = bloch_columns(matvec_as_quat(g_b, _lift_bloch(p).scale(fb)))
+    g = gq(aa)
+    hq, hb = _fiber_points(p, fq, fb)
+    top = sandwich(multiply(g, hq), I)
+    g_b = _su2(gq(_Rotations(-aa.theta, aa.axis[::-1])))
+    bottom = bloch_columns(matvec_as_quat(g_b, hb))
     middle = sandwich(g, Quaternion(0.0, *p))  # rotate
     dev = np.maximum(_dist3(top, middle), _dist3(bottom, middle))
     return np.maximum(dev, _dist3(top, bottom)), False
@@ -354,7 +334,7 @@ def _iso_su2_quat(q1, q2):
 
 
 def _fiber_invariance(q, t, v, lam):
-    dev_q = _dist3(_quat_hopf(multiply(q, _phase(t))), _quat_hopf(q))
+    dev_q = _dist3(sandwich(multiply(q, phase(t)), I), sandwich(q, I))
     dev_b = _dist3(bloch_columns(v.scale(lam)), bloch_columns(v))
     return np.maximum(dev_q, dev_b), abs(v.w) < _POLE_GUARD
 

@@ -168,6 +168,8 @@ class TestExitCodes:
         for args, stdin in [
             (["convert", "--in", str(f)], ""),
             (["convert"], '{"quaternion": [1%s, 0, 0, 0]}' % ("0" * 5000)),
+            (["lift", "--variant", "bloch"], '{"points": %s}' % ("[" * 100000 + "]" * 100000)),
+            (["convert"], '{"quaternion": %s}' % ("[" * 100000 + "]" * 100000)),
         ]:
             res = run_cli(args, stdin)
             assert res.returncode == 2

@@ -27,7 +27,7 @@ from hopfrot import (
     transpose_map,
 )
 from hopfrot.hopf import LIFTS, MAPS
-from hopfrot.quat import EPS_NORM, J, K, ONE, vector_norm
+from hopfrot.quat import J, K, ONE, vector_norm
 from hopfrot.sphere import finite
 
 RNG = np.random.default_rng(11)
@@ -298,8 +298,7 @@ def test_column_forms_hand_back_by_nan(kind, variant):
     # a column form gives the scalar bits wherever the scalar function
     # returns, branch rows included (w = 0, a ratio too large to square, the
     # pinned bases of the quaternion lift), and is not finite wherever it
-    # raises (the batch CLI re-runs exactly those rows); the maps that test
-    # unit norm may also be NaN within _unit_rows' margin
+    # raises (the batch CLI re-runs exactly those rows)
     forms = (MAPS if kind == "map" else LIFTS)[variant]
     rows = map_rows() if kind == "map" else lift_rows()
     with np.errstate(all="ignore"):
@@ -312,10 +311,6 @@ def test_column_forms_hand_back_by_nan(kind, variant):
             want = scalar(row)
         except DomainError:
             assert not finite, row
-            continue
-        margin = kind == "map" and variant is not HopfVariant.BLOCH
-        if margin and abs(sum(c * c for c in row) - 1.0) > EPS_NORM:
-            assert not finite or repr(col) == repr(want), row
             continue
         assert repr(col) == repr(want), row
         compared += 1

@@ -34,8 +34,9 @@ from hopfrot import (
     su2_from_quat,
     to_axis_angle,
 )
-from hopfrot.quat import ONE, require_unit, vector_norm
+from hopfrot.quat import ONE, phase, require_unit, vector_norm
 from hopfrot.su2 import IDENTITY
+from hopfrot.verify import _Rotations
 
 from oracles import rodrigues, scipy_quat, scipy_rotvec
 
@@ -152,6 +153,45 @@ def test_gb_examples():
     assert m.z == pytest.approx(-1j) and abs(m.w) <= 1e-15
     m = gb(axis_angle(math.pi, (0, 1, 0)))
     assert abs(m.z) <= 1e-15 and m.w == pytest.approx(-1)
+
+
+def _parts(x, i=None):
+    """The float parts of a Quaternion or SU2Matrix, of its row i on columns."""
+    if isinstance(x, Quaternion):
+        parts = astuple(x)
+    else:
+        parts = (x.z.real, x.z.imag, x.w.real, x.w.imag)
+    return tuple(p.item(i) if np.ndim(p) else p for p in parts)
+
+
+def test_column_forms_give_each_rows_scalar_bits():
+    # gq, gb, phase and vector_norm on columns, row by row against the scalar
+    # calls by repr, so signed zeros count: gb's w on the z axis is
+    # (0.0, -0.0), as in the convert golden
+    assert repr(_parts(gb(axis_angle(math.pi / 2, (0, 0, 1))))[2:]) == "(0.0, -0.0)"
+    axes = [(0.0, 0.0, 1.0), (-0.0, 1.0, 0.0), (-1.0, 0.0, -0.0), (0.6, 0.8, 0.0), (0.48, -0.6, 0.64)]
+    thetas = [0.0, math.pi, 2.0 * math.pi, -7.0, 1.25]
+    rows = [(t, n) for t in thetas for n in axes]
+    cols = _Rotations(np.array([t for t, _ in rows]), np.array([n for _, n in rows]).T)
+    q, m, e = gq(cols), gb(cols), phase(cols.theta)
+    for i, (t, n) in enumerate(rows):
+        aa = AxisAngle(t, n)
+        assert repr(_parts(q, i)) == repr(_parts(gq(aa))), (t, n)
+        assert repr(_parts(m, i)) == repr(_parts(gb(aa))), (t, n)
+        assert repr(_parts(e, i)) == repr(_parts(phase(t))), t
+    # rows that take vector_norm's scaling branches (squares that overflow,
+    # or all underflow), signed zeros and an infinite norm
+    vectors = [
+        (1e200, -1e200, 3.0), (1e200, 0.0, -0.0), (1.7e308, 1.7e308, 1.7e308),
+        (5e-324, -0.0, 0.0), (1e-310, 2e-310, -1e-320), (3e-170, 4e-170, 0.0),
+        (0.0, -0.0, 0.0), (0.6, 0.8, 1e-9), (-0.0, 1.0, 0.0),
+    ]
+    x, y, z = np.array(vectors).T
+    norms, axis_norms = vector_norm((x, y, z)).tolist(), vector_norm((y, z)).tolist()
+    for v, n, s in zip(vectors, norms, axis_norms):
+        assert repr(n) == repr(vector_norm(v)), v
+        # |(1, 0, 0) x v| as lift_quat_hopf takes it: the exact sum is the same
+        assert repr(s) == repr(vector_norm((0.0, -v[2], v[1]))), v
 
 
 def test_rotate_examples():

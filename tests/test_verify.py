@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hopfrot import CATALOG, CheckReport, DiagramCheck, UnknownCheck, run_all, run_check, verify
-from hopfrot.quat import ComplexPair, Quaternion, pair_of_columns
+from hopfrot.quat import ComplexPair, Quaternion, to_complex_pair
 from hopfrot.verify import subseed
 import verify_reference
 from snapshot import run_main
@@ -227,7 +227,7 @@ def forced(x):
     if isinstance(x, Quaternion):
         return Quaternion(*forced(np.array([x.x0, x.x1, x.x2, x.x3])))
     if isinstance(x, ComplexPair):
-        return pair_of_columns(*forced(np.array([x.z.real, x.z.imag, x.w.real, x.w.imag])))
+        return to_complex_pair(Quaternion(*forced(np.array([x.z.real, x.z.imag, x.w.real, x.w.imag]))))
     if isinstance(x, np.ndarray) and x.ndim == 2:
         rows = BRANCH_PAIRS if len(x) == 4 else BRANCH_POINTS
         x = x.copy()
