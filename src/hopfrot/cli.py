@@ -6,12 +6,12 @@ failure, 2 usage/parse error, 3 domain error.  Angles are radians unless
 --degrees is given; the axis may be off unit norm by up to 1e-6 and is
 renormalized with a warning (the library itself stays strict).
 
-rotate, hopf and lift evaluate a document as one batch: its rows are
-decoded into a float64 array, the library's column forms evaluate all of
-them at once, branches included, and the rows where a column form is not
-finite (where the scalar function raises, or its result overflows) are
-evaluated again by the scalar functions, in input order.  Output,
-warnings and errors are those of the scalar calls, byte for byte.
+rotate, hopf, lift and fiber evaluate their rows (for fiber, its phases)
+on float64 columns by the library's column forms, branches included.  A
+column form is not finite only where the scalar function raises or its
+result overflows, and the first such row ends the command with the scalar
+call's error.  Output, warnings and errors are the scalar calls', byte
+for byte.
 """
 
 from __future__ import annotations
@@ -31,26 +31,18 @@ from .hopf import (
     MAPS,
     HopfVariant,
     bloch_columns,
-    fiber_sample,
-    lift_bloch,
+    fiber_columns,
     sandwich,
     spherical_lift_columns,
 )
-from .quat import (
-    ComplexPair,
-    Quaternion,
-    from_complex_pair,
-    require_unit,
-    to_complex_pair,
-    vector_norm,
-)
-from .rotations import AxisAngle, gb, gq, rotate, rotate_via_bloch, to_axis_angle
+from .quat import ComplexPair, Quaternion, require_unit, to_complex_pair, vector_norm
+from .rotations import AxisAngle, gb, gq, rotate, to_axis_angle
 from .su2 import act_on_vector, quat_from_su2, su2_from_quat
 from .verify import CATALOG, encode, run_all
 
 RENORM_BAND = 1e-6
 
-# rows per json.dumps call when a batch result is written
+# rows per json.dumps call, and fiber points per column evaluation
 _BLOCK = 2048
 
 EXIT_OK = 0
@@ -185,25 +177,24 @@ def _axis_angle_of(x, degrees: bool) -> AxisAngle:
 
 
 def _evaluate(rows: np.ndarray, columns, scalar) -> np.ndarray:
-    """A map evaluated on every row of an (N, k) array.
+    """A map evaluated on every row of an (N, k) array by its column form.
 
-    `columns` is the map's column form: the bits of `scalar`, its scalar
-    function of one row, wherever `scalar` returns, and NaN or infinite on
-    the rows where it raises (see hopf.Forms).  Exactly the rows not
-    finite are evaluated again by `scalar`, in input order, so that they
-    end as the scalar call does, with its error.  A result that is still
-    not finite has overflowed: a domain error naming the row.
+    `columns` gives the bits of `scalar`, the map's scalar function of one
+    row, wherever `scalar` returns, and NaN or infinity where it raises
+    (see hopf.Forms).  So the first row that is not finite decides the
+    error: `scalar` is called on it only to raise its own; if it returns,
+    the result has overflowed, a domain error naming the row.
     """
     with np.errstate(all="ignore"):
         cols = columns(*rows.T)
         out = np.empty((len(rows), len(cols)))
         for j, c in enumerate(cols):
             out[:, j] = c
-        for i in np.flatnonzero(~np.isfinite(out).all(axis=1)):
-            row = rows[i].tolist()
-            out[i] = scalar(row)
-            if not np.isfinite(out[i]).all():
-                raise DomainError(f"row {i} {row}: the result overflows the float range")
+        bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+        if len(bad):
+            row = rows[bad[0]].tolist()
+            scalar(row)
+            raise DomainError(f"row {bad[0]} {row}: the result overflows the float range")
     return out
 
 
@@ -211,17 +202,21 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True, default=encode, allow_nan=False) + "\n")
 
 
-def _emit_rows(key: str, out: np.ndarray, row=None) -> None:
-    """Write {key: rows of out} as _emit would, through the C encoder a
-    block of rows at a time; `row` maps a row list to its JSON value."""
+def _emit_rows(key: str, arrays, pairs=False, rest=dict) -> None:
+    """Write {key: the rows of `arrays`, **rest()} as _emit would, a block
+    of rows per C encoder call; with `pairs`, row r as {"z": r[:2], "w":
+    r[2:]}; `rest()`, called last, gives the keys that sort after `key`."""
     sys.stdout.write("{%s: [" % json.dumps(key))
-    for start in range(0, len(out), _BLOCK):
-        block = out[start : start + _BLOCK].tolist()
-        if row is not None:
-            block = list(map(row, block))
-        text = json.dumps(block, sort_keys=True, allow_nan=False)[1:-1]
-        sys.stdout.write(", " + text if start else text)
-    sys.stdout.write("]}\n")
+    sep = ""
+    for out in arrays:
+        for start in range(0, len(out), _BLOCK):
+            block = out[start : start + _BLOCK].tolist()
+            if pairs:
+                block = [{"z": r[:2], "w": r[2:]} for r in block]
+            sys.stdout.write(sep + json.dumps(block, sort_keys=True, allow_nan=False)[1:-1])
+            sep = ", "
+    tail = json.dumps(rest(), sort_keys=True, allow_nan=False)[1:-1]
+    sys.stdout.write("]" + (", " + tail if tail else "") + "}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -266,31 +261,26 @@ def _cmd_rotate(args) -> int:
     points = _rows(doc.pop("points"), 3, lambda x: _reals(x, 3, "point"))
     if args.convention == "bloch":
         g = gb(aa)
-        out = _evaluate(
-            points, lambda *p: _rotate_bloch_columns(g, *p), lambda p: _rotate_bloch(aa, p)
-        )
+        out = _evaluate(points, lambda *p: _rotate_bloch_columns(g, *p), _rotate_bloch)
     else:
         g = gq(aa)
         out = _evaluate(
             points, lambda *p: sandwich(require_unit(g), Quaternion(0.0, *p)),
             lambda p: rotate(aa, p),
         )
-    _emit_rows("points", out)
+    _emit_rows("points", [out])
     return EXIT_OK
 
 
-def _rotate_bloch(aa: AxisAngle, p: list[float]) -> np.ndarray:
-    n = vector_norm(p)
-    if n == 0.0:
+def _rotate_bloch(p: list[float]) -> None:
+    """The Bloch route's one error: it lifts p / |p|, which the origin lacks."""
+    if vector_norm(p) == 0.0:
         raise DomainError("cannot rotate the origin via the Bloch route")
-    if math.isinf(n):  # |p| overflows, and so does the norm of its image
-        return np.full(3, n)
-    # Bloch routing works on S^2 lifts; scale back afterwards
-    return n * rotate_via_bloch(aa, lift_bloch(np.array(p) / n))
 
 
 def _rotate_bloch_columns(g, x, y, z):
-    """_rotate_bloch on point columns, with g = gb(aa)."""
+    """The Bloch route on point columns, with g = gb(aa): p lifted from S^2
+    as p / |p|, and the image scaled back by |p|."""
     n = vector_norm((x, y, z))
     h = to_complex_pair(Quaternion(*spherical_lift_columns(x / n, y / n, z / n, 1)))
     return tuple(n * c for c in bloch_columns(act_on_vector(g, h)))
@@ -306,11 +296,14 @@ def _cmd_hopf(args) -> int:
         rows = _rows(doc.pop("inputs"), 4, lambda x: _reals(x, 4, "input quaternion"))
     else:
         rows = _pair_rows(doc.pop("inputs"), "input pair")
-    hopf = MAPS[variant]
-    # quaternion rows and pair rows both hold (Re z, Im z, Re w, Im w)
-    out = _evaluate(rows, hopf.columns, lambda r: hopf.scalar(to_complex_pair(Quaternion(*r))))
-    _emit_rows("points", out)
+    _emit_rows("points", [_hopf_rows(variant, rows)])
     return EXIT_OK
+
+
+def _hopf_rows(variant: HopfVariant, rows: np.ndarray) -> np.ndarray:
+    """The Hopf map on rows (Re z, Im z, Re w, Im w), quaternion or pair."""
+    hopf = MAPS[variant]
+    return _evaluate(rows, hopf.columns, lambda r: hopf.scalar(to_complex_pair(Quaternion(*r))))
 
 
 def _cmd_lift(args) -> int:
@@ -323,12 +316,8 @@ def _cmd_lift(args) -> int:
     points = _rows(doc.pop("points"), 3, lambda x: _unit(_reals(x, 3, "point"), "point"))
     points = _renormalized(points, "point")
     lift = LIFTS[variant]
-    if variant is HopfVariant.QUAT:
-        out = _evaluate(points, lift.columns, lambda p: astuple(lift.scalar(p)))
-        _emit_rows("lifts", out)
-    else:
-        out = _evaluate(points, lift.columns, lambda p: astuple(from_complex_pair(lift.scalar(p))))
-        _emit_rows("lifts", out, lambda r: {"z": r[:2], "w": r[2:]})
+    out = _evaluate(points, lift.columns, lift.scalar)
+    _emit_rows("lifts", [out], variant is not HopfVariant.QUAT)
     return EXIT_OK
 
 
@@ -339,13 +328,23 @@ def _cmd_fiber(args) -> int:
         raise ParseError("fiber needs a base point")
     variant = HopfVariant(args.variant)
     base = np.array(_unit(_reals(doc["base"], 3, "base"), "base"))
-    lifts = fiber_sample(variant, base, args.count)
-    hopf = MAPS[variant].scalar
-    errors = np.array([hopf(v) for v in lifts]) - base
-    max_err = vector_norm(errors.T).max().item()
-    if variant is HopfVariant.QUAT:
-        lifts = [from_complex_pair(v) for v in lifts]
-    _emit({"lifts": lifts, "roundtrip_max_error": max_err})
+    # a base off the sphere raises before any output; the round trips of
+    # the fiber's points, unit to rounding, cannot fail
+    lift = LIFTS[variant].scalar(base)
+    max_err = 0.0
+
+    def blocks():
+        nonlocal max_err
+        for start in range(0, args.count, _BLOCK):
+            m = np.arange(start, min(start + _BLOCK, args.count))
+            v = fiber_columns(variant, lift, m, args.count)
+            rows = np.column_stack((v.z.real, v.z.imag, v.w.real, v.w.imag))
+            errors = _hopf_rows(variant, rows) - base
+            max_err = max(max_err, vector_norm(errors.T).max().item())
+            yield rows
+
+    _emit_rows("lifts", blocks(), variant is not HopfVariant.QUAT,
+               lambda: {"roundtrip_max_error": max_err})
     return EXIT_OK
 
 

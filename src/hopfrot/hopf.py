@@ -27,6 +27,7 @@ from .quat import (
     ComplexPair,
     Quaternion,
     cmul,
+    complex_of,
     conjugate,
     each,
     embed_pure,
@@ -151,7 +152,7 @@ def lift_bloch(p) -> ComplexPair:
     """Canonical unit preimage of p under the Bloch map.
 
     Uses the spherical-coordinate section (cos theta/2, e^{i phi} sin theta/2);
-    at the south pole phi is fixed to 0, giving (0, 1).
+    at the south pole phi = 0, giving (cos(pi/2), 1) = (6.123233995736766e-17, 1).
     """
     return _spherical_lift(p, 1)
 
@@ -193,24 +194,24 @@ def lift_quat_hopf_columns(x, y, z):
 
 
 def fiber_sample(variant: HopfVariant, base, count: int) -> list[ComplexPair]:
-    """Sample `count` points of the fiber over `base`, evenly in phase.
-
-    The fiber is the isotropy orbit of the canonical lift: right quaternion
-    multiplication by cos t + i sin t for the quaternion map, complex scalar
-    multiplication by e^{it} for the Bloch and classic maps.  count = 1
-    returns exactly the canonical lift.
-    """
+    """`count` points of the fiber over `base`, evenly in phase: fiber_columns
+    at m = 0 .. count - 1.  count = 1 returns exactly the canonical lift."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    lift = LIFTS[variant].scalar(base)
-    out: list[ComplexPair] = []
-    for m in range(count):
-        t = 2.0 * math.pi * m / count
-        if variant is HopfVariant.QUAT:
-            out.append(to_complex_pair(multiply(lift, phase(t))))
-        else:
-            out.append(lift.scale(cmath.exp(1j * t)))
-    return out
+    v = fiber_columns(variant, LIFTS[variant].scalar(base), np.arange(count), count)
+    return list(map(ComplexPair, v.z.tolist(), v.w.tolist()))
+
+
+def fiber_columns(variant: HopfVariant, lift, m, count: int):
+    """The fiber through `lift` = LIFTS[variant].scalar(base) at phases
+    t = 2 pi m / count (m an index column), as a pair of complex columns:
+    lift * (cos t + i sin t) for the quaternion map, e^{it} lift for the
+    Bloch and classic maps, where complex(cos t, sin t) has the bits of
+    cmath.exp(1j * t) = exp(0.0) (cos t, sin t), as exp(0.0) is 1."""
+    e = phase(2.0 * math.pi * m / count)
+    if variant is HopfVariant.QUAT:
+        return to_complex_pair(multiply(lift, e))
+    return lift.scale(complex_of(e.x0, e.x1))
 
 
 def _unit_rows(*v):

@@ -8,6 +8,8 @@ imports hopfrot from SRC_DIR and runs `hopfrot.cli.main` in process on
 - the cli-batch benchmark documents (seeds 1-3, --points rows each);
 - a seeded corpus of malformed and edge documents for all six
   subcommands (--edge documents);
+- `fiber --count 2049`, one point more than a block, for each variant
+  over fixed bases;
 - `verify` over the whole catalog at --samples samples: seeds 0, 1 and 7;
   seed 3 with the pole guard widened to 0.5, so that checks redraw; seed 3
   at tolerance 1e-30, so that every sample with a nonzero deviation fails
@@ -67,8 +69,8 @@ def unit_rows(rng, n, k):
     return (v / np.sqrt((v * v).sum(axis=1, keepdims=True))).tolist()
 
 
-def sphere_rows(rng, band):
-    """Points of S^2: poles of both stereographic projections, signed
+def sphere_rows(rng, band, n=ROWS):
+    """n points of S^2: poles of both stereographic projections, signed
     zeros, the lift's pinned bases and rows near them, rows off unit norm
     within `band`, and random rows."""
     special = [
@@ -77,15 +79,15 @@ def sphere_rows(rng, band):
         [0.0, 1.0, 0.0], [-0.0, -1.0, 0.0], [0.6, -0.0, 0.8], [-0.6, 0.0, -0.8],
         [1.0, 1e-12, 0.0], [-1.0, 0.0, 3e-10], [0.6, 0.8, 0.0],
     ]
-    rows = special + unit_rows(rng, ROWS - len(special), 3)
-    for i in rng.choice(len(rows), ROWS // 3, replace=False):
+    rows = special + unit_rows(rng, n - len(special), 3)
+    for i in rng.choice(len(rows), n // 3, replace=False):
         rows[i] = [c * (1.0 + float(rng.uniform(-band, band))) for c in rows[i]]
     rng.shuffle(rows)
     return rows
 
 
-def s3_rows(rng):
-    """Points of S^3 (scalar first): w = 0 and z = 0 rows (the poles of the
+def s3_rows(rng, n=ROWS):
+    """n points of S^3 (scalar first): w = 0 and z = 0 rows (the poles of the
     classic and Bloch maps), the preimages of (+-1, 0, 0) under the
     quaternion map, signed zeros, rows off unit norm within a third of the
     unit checks' tolerance, and random rows."""
@@ -95,28 +97,28 @@ def s3_rows(rng):
         [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, -0.0], [1e-12, 0.0, 1.0, 0.0],
         [0.7071067811865476, 0.0, 0.7071067811865476, 0.0], [1.0, 1e-300, -0.0, 5e-324],
     ]
-    rows = special + unit_rows(rng, ROWS - len(special), 4)
-    for i in rng.choice(len(rows), ROWS // 3, replace=False):
+    rows = special + unit_rows(rng, n - len(special), 4)
+    for i in rng.choice(len(rows), n // 3, replace=False):
         rows[i] = [c * (1.0 + float(rng.uniform(-3e-10, 3e-10))) for c in rows[i]]
     rng.shuffle(rows)
     return rows
 
 
-def rotate_doc(convention, rng):
+def rotate_doc(convention, rng, n):
     axis = [0.0, 0.0, 1.0] if rng.random() < 0.5 else unit_rows(rng, 1, 3)[0]
     theta = float(rng.uniform(-7.0, 7.0))
-    return {"axis_angle": {"theta": theta, "axis": axis}, "points": sphere_rows(rng, 1e-6)}
+    return {"axis_angle": {"theta": theta, "axis": axis}, "points": sphere_rows(rng, 1e-6, n)}
 
 
-def hopf_doc(variant, rng):
-    rows = s3_rows(rng)
+def hopf_doc(variant, rng, n):
+    rows = s3_rows(rng, n)
     if variant == "quat":
         return {"inputs": rows}
     return {"inputs": [{"z": r[:2], "w": r[2:]} for r in rows]}
 
 
-def lift_doc(variant, rng):
-    return {"points": sphere_rows(rng, 1e-6)}
+def lift_doc(variant, rng, n):
+    return {"points": sphere_rows(rng, 1e-6, n)}
 
 
 BATCH = [
@@ -127,10 +129,10 @@ BATCH = [
 ]
 
 
-def batch_document(index, seed):
-    """(argv, document) of test_batch's case `index` at `seed`."""
+def batch_document(index, seed, n=ROWS):
+    """(argv, document) of test_batch's case `index` at `seed`, of n rows."""
     argv, build = BATCH[index]
-    return argv, build(argv[2], np.random.default_rng([seed, index]))
+    return argv, build(argv[2], np.random.default_rng([seed, index]), n)
 
 
 # -- the cli-batch benchmark documents (as bench/workloads.py builds them) -------
@@ -157,6 +159,12 @@ def cli_batch_cases(seed, points):
         (["hopf", "--variant", "bloch"], pairs),
         *((["lift", "--variant", v], {"points": pts}) for v in VARIANTS),
     ]
+
+
+# -- fiber over more than one block ----------------------------------------------
+
+FIBER_COUNT = 2049  # the CLI evaluates and writes 2048 points at a time
+FIBER_BASES = [[0.48, 0.6, 0.64], [-1, 0, 0], [0, 0, -1], [0, 0.6, 0.8000001]]
 
 
 # -- malformed and edge documents ------------------------------------------------
@@ -315,6 +323,10 @@ def cases(edge=1000, seed=0, points=20000, samples=300, batch_seeds=(1, 2), benc
             out.append((f"cli-batch seed {s}", argv, json.dumps(doc)))
     for i, (argv, stdin) in enumerate(edge_cases(edge, seed)):
         out.append((f"edge {i}", argv, stdin))
+    for v in VARIANTS:
+        for i, base in enumerate(FIBER_BASES):
+            argv = ["fiber", "--variant", v, "--count", str(FIBER_COUNT)]
+            out.append((f"fiber base {i}", argv, json.dumps({"base": base})))
     for s in (0, 1, 7):
         out.append((f"verify seed {s}", ["verify", "--samples", str(samples), "--seed", str(s)], ""))
     argv = ["verify", "--samples", str(samples), "--seed", "3"]

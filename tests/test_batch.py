@@ -1,24 +1,31 @@
 """The batch commands against the scalar library calls, in process.
 
 rotate, hopf and lift evaluate a whole document at once on float64
-columns.  These tests check that every byte of their output, and every
-warning, is what the scalar functions give one row at a time, on
-documents full of poles, signed zeros and off-unit rows, and that no
-document, however malformed, ends in a traceback or in non-strict JSON.
+columns, and fiber all its phases, a block at a time.  These tests check
+that every byte of their output, and every warning, is what the scalar
+functions give one row (or phase) at a time, on documents full of poles,
+signed zeros and off-unit rows, and that no document, however malformed,
+ends in a traceback or in non-strict JSON.
 """
 
+import cmath
+import io
 import json
 import math
+import os
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hopfrot import cli
 from hopfrot.hopf import LIFTS, MAPS, HopfVariant, lift_bloch
-from hopfrot.quat import ComplexPair, vector_norm
+from hopfrot.quat import ComplexPair, Quaternion, to_complex_pair, vector_norm
 from hopfrot.rotations import axis_angle, rotate, rotate_via_bloch
-from snapshot import BATCH, batch_document, run_main
+from snapshot import BATCH, VARIANTS, batch_document, run_main, unit_rows
 
 
 def pair(row):
@@ -30,49 +37,129 @@ def rotate_bloch_point(aa, p):
     return n * rotate_via_bloch(aa, lift_bloch(np.array(p) / n))
 
 
-def renormalized(p, warnings):
+def renormalized(p, warnings, what="point"):
     n = vector_norm(p)
     if n != 1.0:
-        warnings.append(f"warning: renormalizing point (norm {n!r})")
+        warnings.append(f"warning: renormalizing {what} (norm {n!r})")
     return [c / n for c in p]
 
 
-def expected_rotate(convention, doc):
+def pair_json(v):
+    return {"z": [v.z.real, v.z.imag], "w": [v.w.real, v.w.imag]}
+
+
+def expected_rotate(argv, doc):
+    convention = argv[2]
     aa = axis_angle(doc["axis_angle"]["theta"], doc["axis_angle"]["axis"])
     one = rotate if convention == "quat" else rotate_bloch_point
     return {"points": [one(aa, p).tolist() for p in doc["points"]]}, []
 
 
-def expected_hopf(variant, doc):
+def expected_hopf(argv, doc):
+    variant = argv[2]
     rows = doc["inputs"] if variant == "quat" else [r["z"] + r["w"] for r in doc["inputs"]]
     v = HopfVariant(variant)
     return {"points": [MAPS[v].scalar(pair(r)).tolist() for r in rows]}, []
 
 
-def expected_lift(variant, doc):
+def expected_lift(argv, doc):
+    variant = argv[2]
     warnings = []
     lift = LIFTS[HopfVariant(variant)].scalar
     lifted = [lift(renormalized(p, warnings)) for p in doc["points"]]
     if variant == "quat":
         out = [[q.x0, q.x1, q.x2, q.x3] for q in lifted]
     else:
-        out = [{"z": [v.z.real, v.z.imag], "w": [v.w.real, v.w.imag]} for v in lifted]
+        out = [pair_json(v) for v in lifted]
     return {"lifts": out}, warnings
 
 
-EXPECTED = {"rotate": expected_rotate, "hopf": expected_hopf, "lift": expected_lift}
+def expected_fiber(argv, doc):
+    """The fiber one phase at a time: the canonical lift times e^{it}, by
+    cmath.exp or by the quaternion cos t + i sin t, and the round trip of
+    each point through the scalar Hopf map."""
+    variant, count = HopfVariant(argv[2]), int(argv[4])
+    warnings = []
+    base = renormalized(doc["base"], warnings, "base")
+    lift = LIFTS[variant].scalar(base)
+    lifts = []
+    for m in range(count):
+        t = 2.0 * math.pi * m / count
+        if variant is HopfVariant.QUAT:
+            lifts.append(to_complex_pair(lift * Quaternion(math.cos(t), math.sin(t), 0.0, 0.0)))
+        else:
+            lifts.append(lift.scale(cmath.exp(1j * t)))
+    errors = np.array([MAPS[variant].scalar(v) for v in lifts]) - np.array(base)
+    if variant is HopfVariant.QUAT:
+        out = [[v.z.real, v.z.imag, v.w.real, v.w.imag] for v in lifts]
+    else:
+        out = [pair_json(v) for v in lifts]
+    return {"lifts": out, "roundtrip_max_error": max(map(vector_norm, errors.tolist()))}, warnings
+
+
+EXPECTED = {"rotate": expected_rotate, "hopf": expected_hopf, "lift": expected_lift, "fiber": expected_fiber}
+
+
+def check_batch(argv, doc):
+    out, warnings = EXPECTED[argv[0]](argv, doc)
+    code, stdout, stderr = run_main(argv, json.dumps(doc))
+    assert code == 0, stderr
+    # float reprs are the JSON numbers, so equal text is equal bits; split,
+    # since pytest's report of two long unequal lines takes minutes
+    assert stdout.split(", ") == (json.dumps(out, sort_keys=True) + "\n").split(", ")
+    assert stderr.splitlines() == warnings
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("index", range(len(BATCH)), ids=[" ".join(a[:3:2]) for a, _ in BATCH])
 def test_batch_matches_scalar_calls(index, seed):
-    argv, doc = batch_document(index, seed)
-    out, warnings = EXPECTED[argv[0]](argv[2], doc)
-    code, stdout, stderr = run_main(argv, json.dumps(doc))
-    assert code == 0, stderr
-    # float reprs are the JSON numbers, so equal text is equal bits
-    assert stdout == json.dumps(out, sort_keys=True) + "\n"
-    assert stderr.splitlines() == warnings
+    check_batch(*batch_document(index, seed))
+
+
+# rotate in both conventions, hopf classic and lift bloch
+@pytest.mark.parametrize("index", [0, 1, 2, 7], ids=[" ".join(BATCH[i][0][:3:2]) for i in (0, 1, 2, 7)])
+def test_batch_past_one_block_matches_scalar_calls(index):
+    check_batch(*batch_document(index, 1, cli._BLOCK + 1))
+
+
+FIBER_BASES = {
+    "i": [1, 0, 0],  # the quaternion lift's pinned bases
+    "-i": [-1, 0, 0],
+    "k": [0, 0, 1],
+    "-k": [0, 0, -1],
+    "random": unit_rows(np.random.default_rng(13), 1, 3)[0],
+    "off-unit": [c * (1.0 + 1e-7) for c in unit_rows(np.random.default_rng(14), 1, 3)[0]],
+}
+
+
+@pytest.mark.parametrize("base", FIBER_BASES.values(), ids=FIBER_BASES.keys())
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fiber_matches_scalar_calls(variant, base):
+    for count in (1, 2, 3, 7, cli._BLOCK, cli._BLOCK + 1, 2 * cli._BLOCK + 5):
+        check_batch(["fiber", "--variant", variant, "--count", str(count)], {"base": base})
+
+
+def traced_peak(argv, stdin):
+    """The tracemalloc peak of cli.main(argv) in process, its stdout and
+    stderr sent to os.devnull."""
+    saved = sys.stdin, sys.stdout, sys.stderr
+    with open(os.devnull, "w") as null:
+        sys.stdin, sys.stdout, sys.stderr = io.StringIO(stdin), null, null
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            sys.stdin, sys.stdout, sys.stderr = saved
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fiber_memory_does_not_grow_with_count(variant):
+    argv = ["fiber", "--variant", variant, "--count"]
+    base = json.dumps({"base": FIBER_BASES["random"]})
+    traced_peak(argv + ["1"], base)  # the first call's one-time allocations
+    assert traced_peak(argv + ["20000"], base) <= 1.25 * traced_peak(argv + ["4096"], base)
 
 
 @pytest.mark.parametrize("convention", ["quat", "bloch"])
@@ -92,24 +179,33 @@ def test_tiny_bloch_states_are_projected():
     assert zero == (3, "", "error: Bloch projection of the zero vector\n")
 
 
+BLOCH_ROWS = '{"axis_angle":{"theta":1,"axis":[0,0,1]},"points":[[1,0,0],%s,%s]}'
+HUGE, ORIGIN = "[1.7e308,1.7e308,1.7e308]", "[0,0,0]"
+
+
 @pytest.mark.parametrize(
-    "argv,doc,stderr",
+    "argv,doc,code,stderr",
     [
-        (["lift", "--variant", "quat"], '{"points":[[0,0,1.0000001],[1,0,0],[0.6,0.8,true],[0,0,2]]}',
+        (["lift", "--variant", "quat"], '{"points":[[0,0,1.0000001],[1,0,0],[0.6,0.8,true],[0,0,2]]}', 2,
          "warning: renormalizing point (norm 1.0000001)\nerror: point must be a number\n"),
         (["hopf", "--variant", "bloch"],
-         '{"inputs":[{"z":[1,0],"w":[0,0]},{"z":[1,0],"w":[0,NaN]},{"z":[1],"w":[0,0]}]}',
+         '{"inputs":[{"z":[1,0],"w":[0,0]},{"z":[1,0],"w":[0,NaN]},{"z":[1],"w":[0,0]}]}', 3,
          "error: input pair.w must be finite\n"),
-        (["rotate"], '{"axis_angle":{"theta":1,"axis":[0,0,1]},"points":[[1,0,0],[1,0],[1,0,NaN]]}',
+        (["rotate"], '{"axis_angle":{"theta":1,"axis":[0,0,1]},"points":[[1,0,0],[1,0],[1,0,NaN]]}', 2,
          "error: point must be a list of 3 numbers\n"),
+        # rows that decode but fail: the first one's error, whatever follows it
+        (["rotate", "--convention", "bloch"], BLOCH_ROWS % (HUGE, ORIGIN), 3,
+         "error: row 1 [1.7e+308, 1.7e+308, 1.7e+308]: the result overflows the float range\n"),
+        (["rotate", "--convention", "bloch"], BLOCH_ROWS % (ORIGIN, HUGE), 3,
+         "error: cannot rotate the origin via the Bloch route\n"),
+        (["hopf", "--variant", "quat"], '{"inputs":[[1,0,0,0],[2,0,0,0],[0,0,3,0]]}', 3,
+         "error: quaternion norm 2.0 is not 1\n"),
     ],
-    ids=["lift", "hopf", "rotate"],
+    ids=["lift", "hopf", "rotate", "bloch-overflow-then-origin", "bloch-origin-then-overflow", "quat-norms"],
 )
-def test_first_bad_row_reports_its_error(argv, doc, stderr):
+def test_first_bad_row_reports_its_error(argv, doc, code, stderr):
     # the warnings of the rows before it come first, as one scalar call per row prints them
-    code, stdout, err = run_main(argv, doc)
-    assert (stdout, err) == ("", stderr)
-    assert code == (3 if argv[0] == "hopf" else 2)
+    assert run_main(argv, doc) == (code, "", stderr)
 
 
 def test_conventions_agree_on_huge_points():
