@@ -30,6 +30,10 @@ _COLUMN = np.ndarray
 # vector_norm's scale factors: powers of two, so that scaling is exact
 _HUGE = 2.0**600
 _TINY = 2.0**-600
+# the column form's range of nonzero components, and the unit roundoff
+_BIG = 2.0**500
+_SMALL = 2.0**-450
+_U = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -70,8 +74,8 @@ def each(f, *args):
     """f(*args) on numbers; on columns (float64 or ComplexColumn), f
     element by element, on Python floats or complex numbers.
 
-    libm's functions and the fsum norm go through here: numpy's own
-    versions round differently from libm's on some CPUs.
+    libm's functions go through here: numpy's own versions round
+    differently from libm's on some CPUs.
     """
     kind = type(args[0])
     if kind is _COLUMN or kind is ComplexColumn:
@@ -203,12 +207,73 @@ def vector_norm(v):
     the squares overflow, or all underflow, the vector is first scaled by
     a power of two, which is exact.  Pass a list or tuple (ndarray.tolist())
     rather than an array: iterating numpy scalars is slower than
-    np.linalg.norm itself.  On a sequence of float64 columns, the column of
-    the norms of its rows, each with the bits of that row's norm.
+    np.linalg.norm itself.
+
+    On a sequence of float64 columns, the column of the norms of its rows,
+    each with the bits of that row's norm, computed on whole columns with
+    real + - * /, comparisons, nextafter and sqrt, which IEEE 754 rounds
+    correctly on every platform.  Each row's squares x*x are rounded as
+    above; two passes of the TwoSum cascade (VecSum, Ogita, Rump and Oishi,
+    "Accurate sum and dot product", 2005) turn them into a leading term L
+    and residuals r, with L + sum(r) the exact sum S of the squares.  The
+    residuals are summed left to right into R; each of those k - 1
+    additions errs by at most half a unit in the last place of its
+    result, at most u = 2^-53 times it, so |S - (L + R)| <= B =
+    2^(k-2) u max|partial sum| for k >= 2 residuals (k - 1 <= 2^(k-2),
+    and a power of two keeps B exact).  One last TwoSum gives
+    t = fl(L + R) and the exact e = L + R - t.  The row is accepted, and
+    its sum of squares is t, in one of two ways:
+
+    - exact: at most one residual is nonzero, so R is exact, S = L + R,
+      and t is S rounded once, ties to even, as fsum rounds it;
+    - bounded: -h_down < e - B and e + B < h_up, where h_up and h_down
+      are half the spacing of the floats above and below t (h_down is
+      h_up / 2 when t is a power of two).  Then S = t + e + (S - L - R)
+      lies strictly between the midpoints around t and rounds to t.
+      Rounding is monotone, so the rounded e - B and e + B compare the
+      same way.
+
+    TwoSum is error-free, and the steps above are exact or err as
+    stated, because a row reaches them only when each component is 0 or
+    has magnitude in [2^-450, 2^500]: its squares are then at most 2^1000,
+    so no sum overflows, and multiples of 2^-952, so every nonzero sum,
+    residual and u * (partial sum) is at least 2^-1005, a normal float.
+    Rows with a component outside that range or not finite, and rows
+    that pass neither test, go to the per-row norm (math.fsum above).
     """
-    if type(v[0]) is _COLUMN:
-        return np.array(list(map(_norm, zip(*(c.tolist() for c in v)))))
-    return _norm(v)
+    if type(v[0]) is not _COLUMN:
+        return _norm(v)
+    with np.errstate(all="ignore"):  # rows with huge or non-finite components go to _norm
+        p = [c * c for c in v]
+        for _ in range(2):
+            for i in range(1, len(p)):
+                p[i], p[i - 1] = _two_sum(p[i], p[i - 1])
+        lead, r = p[-1], p[:-1]
+        R, big = r[0], 0.0
+        for x in r[1:]:
+            R = R + x
+            big = np.maximum(big, abs(R))
+        t, e = _two_sum(lead, R)
+        bound = 2.0 ** (len(r) - 2) * _U * big
+        h_up = (np.nextafter(t, np.inf) - t) * 0.5
+        h_down = (t - np.nextafter(t, 0.0)) * 0.5
+        exact = np.count_nonzero(r, axis=0) <= 1
+        proved = exact | ((e + bound < h_up) & (e - bound > -h_down))
+        for c in v:
+            a = abs(c)
+            proved &= (a == 0.0) | ((a >= _SMALL) & (a <= _BIG))
+        n = np.sqrt(t)
+    rest = ~proved
+    if rest.any():
+        n[rest] = list(map(_norm, zip(*(c[rest].tolist() for c in v))))
+    return n
+
+
+def _two_sum(a, b):
+    """fl(a + b) and its exact error a + b - fl(a + b) (Knuth's TwoSum)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
 
 
 def _norm(v) -> float:

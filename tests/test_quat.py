@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +21,8 @@ from hopfrot import (
     transpose,
     transpose_map,
 )
-from hopfrot.quat import I, J, K, ONE, ComplexColumn, require_unit
+from hopfrot import quat
+from hopfrot.quat import I, J, K, ONE, ComplexColumn, require_unit, vector_norm
 
 from oracles import pure_product
 
@@ -159,6 +163,93 @@ def test_pure_product_matches_dot_cross(seed):
     scalar, vector = pure_product(u, v)
     assert prod.x0 == pytest.approx(scalar, abs=1e-12)
     np.testing.assert_allclose([prod.x1, prod.x2, prod.x3], vector, atol=1e-12)
+
+
+# -- vector_norm on columns against the per-row norm -------------------------
+
+signs = st.sampled_from([1.0, -1.0])
+
+
+def _unit_row(v):
+    n = vector_norm(v)
+    return [x / n for x in v] if n else v
+
+
+def _half_spacing_row(w, x, k):
+    """x and components whose squares sum to half the spacing of the floats
+    at x * x, so that the exact sum is a tie, then 2^k if k is not None,
+    which moves it just past the tie; cut or padded with zeros to width w."""
+    s = x * x
+    e = round(math.log2((math.nextafter(s, math.inf) - s) / 2.0))
+    tail = [2.0 ** (e // 2)] if e % 2 == 0 else [2.0 ** ((e - 1) // 2)] * 2
+    row = [x, *tail, *([] if k is None else [2.0**k])][:w]
+    return row + [0.0] * (w - len(row))
+
+
+def _norm_rows(w):
+    """Rows of width w: each family a case the column form must prove or
+    hand to the per-row norm."""
+    floats = st.floats(-1.0, 1.0, allow_nan=False)
+    vec = st.lists(floats, min_size=w, max_size=w)
+    unit = vec.map(_unit_row)
+    return st.one_of(
+        # power-of-two components, whose squares can sum to a power of two
+        st.lists(st.builds(lambda s, k: s * 2.0**k, signs, st.integers(-8, 8)), min_size=w, max_size=w),
+        # small dyadic integers, the exact ties of short sums
+        st.lists(st.integers(-64, 64).map(float), min_size=w, max_size=w),
+        st.lists(st.integers(2**25, 2**27).map(float), min_size=w, max_size=w),
+        st.builds(_half_spacing_row, st.just(w), st.integers(1, 2**26).map(float), st.none() | st.integers(-90, -20)),
+        # signed zeros and subnormal components
+        st.lists(st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 1e-300, 2.0**-450, 1.0]), min_size=w, max_size=w),
+        st.lists(st.floats(-(2.0**-1020), 2.0**-1020), min_size=w, max_size=w),
+        # components spread over 2^+-40, some zero
+        st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0]), st.builds(lambda x, k: x * 2.0**k, floats, st.integers(-40, 40))),
+            min_size=w, max_size=w,
+        ),
+        # unit vectors off unit norm by up to 1e-6
+        st.builds(lambda u, d: [x * (1.0 + d) for x in u], unit, st.floats(-1e-6, 1e-6)),
+        # differences of nearly equal unit vectors
+        st.builds(
+            lambda u, d: [a - b for a, b in zip(u, _unit_row([x + y for x, y in zip(u, d)]))],
+            unit, st.lists(st.floats(-1e-8, 1e-8), min_size=w, max_size=w),
+        ),
+    )
+
+
+def _column_norm(rows):
+    """vector_norm on the columns of rows; no warning may escape it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return vector_norm(tuple(np.array(rows, dtype=np.float64).T)).tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda w: st.lists(_norm_rows(w), min_size=4, max_size=40)))
+def test_column_norm_has_each_rows_bits(rows):
+    for row, n in zip(rows, _column_norm(rows)):
+        assert repr(n) == repr(vector_norm(row)), row
+
+
+def test_column_norm_hands_unproved_rows_to_the_row_norm(monkeypatch):
+    proved = [[0.6, 0.8, 0.0], [3.0, -4.0, 12.0], [1.0, 2.0**-27, 2.0**-27]]  # the last an exact tie
+    forced = [
+        [2.0**500 * 1.5, 1.0, 0.0],  # a component above 2^500
+        [1e200, -1e200, 3.0],
+        [1.0, 2.0**-451, 0.0],  # a nonzero component below 2^-450
+        [5e-324, -0.0, 0.0],
+        [math.inf, 1.0, 0.0],
+        [0.0, -math.inf, math.inf],
+        [math.nan, 1.0, 0.0],
+        [1.0, math.inf, math.nan],
+        [1.5, 2.0**-26, 2.0**-60],  # just past a tie: the margin cannot prove it
+    ]
+    row_norm, handed = quat._norm, []
+    monkeypatch.setattr(quat, "_norm", lambda v: handed.append(list(v)) or row_norm(v))
+    got = _column_norm(proved + forced)
+    assert repr(handed) == repr(forced)
+    for row, n in zip(proved + forced, got):
+        assert repr(n) == repr(row_norm(row)), row
 
 
 # -- ComplexColumn against CPython's complex, row by row ---------------------
