@@ -230,8 +230,8 @@ def vector_norm(v):
       are half the spacing of the floats above and below t (h_down is
       h_up / 2 when t is a power of two).  Then S = t + e + (S - L - R)
       lies strictly between the midpoints around t and rounds to t.
-      Rounding is monotone, so the rounded e - B and e + B compare the
-      same way.
+      Rounding is monotone and h_up, h_down are floats, so the tests on
+      the rounded e + B and e - B imply them on the exact ones.
 
     TwoSum is error-free, and the steps above are exact or err as
     stated, because a row reaches them only when each component is 0 or
