@@ -148,11 +148,14 @@ def _renormalized(rows: np.ndarray, what: str) -> np.ndarray:
     """Scale to unit norm the rows within RENORM_BAND of it, each with a
     warning, in order; a row further off is a domain error."""
     norms = vector_norm(rows.T)
+    warnings = []  # written at once: stderr is line buffered
     for n in norms.tolist():
         if n == 0.0 or abs(n - 1.0) > RENORM_BAND:
+            sys.stderr.write("".join(warnings))
             raise DomainError(f"{what} norm {n!r} is outside the renormalization band")
         if n != 1.0:
-            print(f"warning: renormalizing {what} (norm {n!r})", file=sys.stderr)
+            warnings.append(f"warning: renormalizing {what} (norm {n!r})\n")
+    sys.stderr.write("".join(warnings))
     return rows / norms.reshape(-1, 1)
 
 

@@ -120,8 +120,10 @@ def reverse(p) -> np.ndarray:
     return np.array([z, y, x])
 
 
-def _acos(t: float) -> float:
-    return math.acos(max(-1.0, min(1.0, t)))
+def _acos(t):
+    if type(t) is not np.ndarray:
+        return math.acos(max(-1.0, min(1.0, t)))
+    return each(math.acos, np.maximum(np.where(t < 1.0, t, 1.0), -1.0))  # as min(1.0, nan) is 1.0
 
 
 def _spherical_lift(p, sign: int) -> ComplexPair:
@@ -138,7 +140,7 @@ def spherical_lift_columns(x, y, z, sign: int):
     The phase is computed for each sign rather than conjugated: where
     phi = 0, conjugation would turn +0.0 imaginary parts into -0.0.
     """
-    half = each(_acos, z) / 2.0
+    half = _acos(z) / 2.0
     phi = each(math.atan2, y, x)
     # cmath.exp(sign * 1j * phi) * sin(theta/2) as CPython 3.11 rounds it:
     # the exponent's real part is +-0.0, so its exp is exactly (cos, sin)
@@ -180,7 +182,7 @@ def lift_quat_hopf(p) -> Quaternion:
 
 
 def _quat_lift(x, y, z, s):
-    half = each(_acos, x) / 2.0
+    half = _acos(x) / 2.0
     sn = each(math.sin, half)
     return each(math.cos, half), sn * (0.0 / s), sn * (-z / s), sn * (y / s)
 
@@ -199,7 +201,8 @@ def fiber_sample(variant: HopfVariant, base, count: int) -> list[ComplexPair]:
     if count < 1:
         raise ValueError("count must be >= 1")
     v = fiber_columns(variant, LIFTS[variant].scalar(base), np.arange(count), count)
-    return list(map(ComplexPair, v.z.tolist(), v.w.tolist()))
+    rows = np.array([v.z.real, v.z.imag, v.w.real, v.w.imag]).T.tolist()
+    return [ComplexPair(complex(a, b), complex(c, d)) for a, b, c, d in rows]
 
 
 def fiber_columns(variant: HopfVariant, lift, m, count: int):

@@ -9,9 +9,9 @@ unit value must normalize explicitly.
 The formulas run unchanged on Python numbers and on float64 columns (one
 row per input), so that a batch of inputs gives the bits the scalar calls
 give.  On columns they use only operations that numpy rounds as CPython
-does (real + - * / and sqrt): complex values are ComplexColumn, whose
-arithmetic is CPython's on real columns, and libm's functions go through
-`each`, one element at a time.
+does (real + - * /, sqrt and hypot): complex values are ComplexColumn,
+whose arithmetic is CPython's on real columns, and libm's other functions
+go through `each`, one element at a time.
 """
 
 from __future__ import annotations
@@ -58,7 +58,17 @@ class ComplexPair:
     w: complex
 
     def norm(self) -> float:
-        return each(_pair_norm, self.z, self.w)
+        """sqrt(|z|^2 + |w|^2); on complex columns, each row's with its bits."""
+        if type(self.z) is not ComplexColumn:
+            return _pair_norm(self.z, self.w)
+        with np.errstate(over="ignore"):
+            a = np.array([abs(self.z), abs(self.w)])
+            a[a >= 2.0**512] = np.inf  # where ** raises OverflowError
+            sq = each(math.pow, a.ravel(), np.full(a.size, 2.0)).reshape(a.shape)  # ** is libm's pow
+            # where abs() or ** raised on finite parts, _pair_norm gives inf
+            parts = np.array([[self.z.real, self.z.imag], [self.w.real, self.w.imag]])
+            raised = (np.isinf(a) & np.isfinite(parts).all(axis=1)).any(axis=0)
+            return np.where(raised, np.inf, np.sqrt(sq[0] + sq[1]))
 
     def scale(self, s: complex) -> "ComplexPair":
         return ComplexPair(s * self.z, s * self.w)
@@ -71,15 +81,17 @@ K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
 def each(f, *args):
-    """f(*args) on numbers; on columns (float64 or ComplexColumn), f
-    element by element, on Python floats or complex numbers.
+    """f(*args) on numbers; on float64 columns, f element by element, on
+    Python floats.
 
     libm's functions go through here: numpy's own versions round
-    differently from libm's on some CPUs.
+    differently from libm's on some CPUs.  Not hypot: numpy's calls the C
+    library's, as abs(complex) does (2M seeded rows under glibc: 0 differ,
+    6,335 from math.hypot).  But squares: x ** 2 is libm's pow(x, 2.0),
+    which rounds unlike x * x (2,556 of 3M rows differ).
     """
-    kind = type(args[0])
-    if kind is _COLUMN or kind is ComplexColumn:
-        return np.array(list(map(f, *(a.tolist() for a in args))), dtype=np.float64)
+    if type(args[0]) is _COLUMN:
+        return np.fromiter(map(f, *(a.tolist() for a in args)), np.float64, len(args[0]))
     return f(*args)
 
 
@@ -119,16 +131,19 @@ class ComplexColumn:
     column on the left, `*` with a number on the left too, abs() and
     conjugate().  They round as CPython's complex type does, row by row (a
     real operand is promoted to (x, 0.0), as CPython 3.11 promotes it), and
-    abs() is libm's hypot, element by element.  So a formula written for
-    Python complex numbers with these operators runs on it with the same
-    bits; `2.0 + col`, `2.0 - col` and `2.0 / col` raise TypeError.
+    abs() is np.hypot, the C library's hypot that abs(complex) calls (inf
+    where that raises OverflowError).  So a formula written for Python
+    complex numbers with these operators runs on it with the same bits;
+    `2.0 + col`, `2.0 - col` and `2.0 / col` raise TypeError.
     """
 
     __slots__ = ("real", "imag")
     __array_ufunc__ = None  # numpy defers to these operators
 
     def __init__(self, real, imag):
-        self.real, self.imag = np.broadcast_arrays(real, imag)
+        if type(real) is not _COLUMN or type(imag) is not _COLUMN or real.shape != imag.shape:
+            real, imag = np.broadcast_arrays(real, imag)  # which returns such columns as they are
+        self.real, self.imag = real, imag
 
     @staticmethod
     def _parts(x):
@@ -156,10 +171,8 @@ class ComplexColumn:
         return ComplexColumn(*_cdiv((self.real, self.imag), self._parts(other)))
 
     def __abs__(self):
-        return each(abs, self)
-
-    def tolist(self) -> list[complex]:
-        return list(map(complex, self.real.tolist(), self.imag.tolist()))
+        with np.errstate(over="ignore"):  # inf where abs(complex) raises OverflowError
+            return np.hypot(self.real, self.imag)
 
     def conjugate(self):
         return ComplexColumn(self.real, -self.imag)

@@ -187,12 +187,18 @@ def _draw(draws: dict, rng, n: int) -> list:
             elif k:
                 calls.append([kind, k])
     method = {"normal": rng.standard_normal, "uniform": rng.random}
-    if len(calls) == 1:  # a call of k·n draws is the stream of n calls of k
-        (kind, k), = calls
-        flat = method[kind](k * n)
+    # the block's calls: k + j draws of a kind are the stream of k, then j
+    if len(calls) == 1:
+        stream = [(calls[0][0], calls[0][1] * n)]
+    elif calls[0][0] == calls[-1][0]:  # a sample's last call merges with the next one's first
+        (kind, first), *middle, (_, last) = calls
+        stream = [(kind, first), *(middle + [(kind, last + first)]) * (n - 1), *middle, (kind, last)]
     else:
-        calls = [(method[kind], k) for kind, k in calls]
-        flat = np.concatenate([draw(k) for _ in range(n) for draw, k in calls])
+        stream = calls * n
+    flat, start = np.empty(n * sum(k for _, k in calls)), 0
+    for kind, k in stream:
+        method[kind](out=flat[start : start + k])
+        start += k
     columns = iter(np.ascontiguousarray(flat.reshape(n, -1).T))
     values = []
     for s in draws.values():

@@ -208,6 +208,22 @@ def test_first_bad_row_reports_its_error(argv, doc, code, stderr):
     assert run_main(argv, doc) == (code, "", stderr)
 
 
+def test_renormalization_warnings_precede_the_out_of_band_row(monkeypatch, capsys):
+    # the warnings of the rows before it, in order, then its error; the rows
+    # after it warn of nothing
+    points = [[0, 0, 1.0000000000000002], [0.6, 0.8, 0], [1e-4, 0, 1], [0, 0, 0.9999999999999998],
+              [0, 3, 4], [0, 0, 1.0000000000000004]]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"points": points})))
+    assert cli.main(["lift", "--variant", "bloch"]) == 3
+    assert capsys.readouterr() == (
+        "",
+        "warning: renormalizing point (norm 1.0000000000000002)\n"
+        "warning: renormalizing point (norm 1.000000005)\n"
+        "warning: renormalizing point (norm 0.9999999999999998)\n"
+        "error: point norm 5.0 is outside the renormalization band\n",
+    )
+
+
 def test_conventions_agree_on_huge_points():
     doc = '{"axis_angle":{"theta":1.0,"axis":[0.6,0.8,0]},"points":[[1e308,-1e308,1e308]]}'
     outs = []

@@ -1,8 +1,11 @@
 import math
+import warnings
 from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfrot import (
     ComplexPair,
@@ -26,7 +29,7 @@ from hopfrot import (
     to_complex_pair,
     transpose_map,
 )
-from hopfrot.hopf import LIFTS, MAPS
+from hopfrot.hopf import LIFTS, MAPS, _acos
 from hopfrot.quat import J, K, ONE, vector_norm
 from hopfrot.sphere import finite
 
@@ -315,3 +318,21 @@ def test_column_forms_hand_back_by_nan(kind, variant):
         assert repr(col) == repr(want), row
         compared += 1
     assert compared >= 200  # at least the generic unit rows
+
+
+_ONE_ULP = [math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(
+    st.floats(-1.0, 1.0),
+    st.sampled_from(_ONE_ULP + [-x for x in _ONE_ULP]),  # +-1 +- 1 ulp
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e300]),
+), min_size=1, max_size=30))
+def test_column_acos_clamps_as_min_and_max(ts):
+    # min and max keep their first argument unless the second compares
+    # below or above it, so NaN clamps to 1.0, and acos(nan) is 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _acos(np.array(ts, dtype=np.float64)).tolist()
+    assert repr(got) == repr([_acos(t) for t in ts])

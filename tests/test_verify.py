@@ -287,3 +287,20 @@ def test_blocks_split_the_stream(monkeypatch, guard):
     for name in EXPECTED_CATALOG:
         check = DiagramCheck(name, 300, subseed(5, name), 1e-9)
         assert run_check(check) == verify_reference.run_check(check)
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 500])
+@pytest.mark.parametrize("name", EXPECTED_CATALOG)
+def test_draw_gives_the_reference_samplers_values(name, n):
+    # _draw fills one buffer with the stream's calls, adjacent calls of a
+    # kind merged within and across samples; each row has the values the
+    # scalar samplers draw one sample at a time, and the stream ends where
+    # theirs does
+    _, draws = verify.CHECKS[name]
+    a, b = (np.random.Generator(np.random.PCG64(subseed(n, name))) for _ in range(2))
+    columns = verify._draw(draws, a, n)
+    for i in range(n):
+        want = {key: verify_reference.SAMPLERS[s](b) for key, s in draws.items()}
+        got = {key: verify._row(x, i) for key, x in zip(draws, columns)}
+        assert json.dumps(got, default=verify.encode) == json.dumps(want, default=verify.encode), i
+    assert a.bit_generator.state == b.bit_generator.state
