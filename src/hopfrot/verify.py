@@ -12,9 +12,12 @@ not a pole row the column form gives that deviation's bits, and its pole
 rows are exactly the samples the deviation redraws.
 
 run_check draws each block from a fixed PCG64 stream, the v1 stream: the
-values of each sample in draw order, as one sample at a time would draw
-them.  It accepts the rows off the pole, in sample order, until the count
-is complete; no row is evaluated one at a time.  A deviation that is not
+values of each sample in draw order, as numpy's calls one sample at a time
+would draw them.  They are decoded from the generator's raw words by
+numpy's normal ziggurat, with its tables in the data file ziggurat.bin:
+the fast path on whole columns, the rest one normal at a time.  run_check
+accepts the rows off the pole, in sample order, until the count is
+complete; no row is evaluated one at a time.  A deviation that is not
 finite on an accepted row fails the check.  Reports are deterministic for
 a given (name, samples, seed).
 
@@ -27,6 +30,8 @@ redraw only filters the stream.
 
 from __future__ import annotations
 
+import functools
+import importlib.resources
 import json
 import math
 import zlib
@@ -177,29 +182,82 @@ def _row(x, i: int):
     return x.item(i)
 
 
+_ZIGGURAT_R = 3.6541528853610087963519472518  # numpy's ziggurat_nor_r
+_ZIGGURAT_INV_R = 0.27366123732975827203338247596  # and ziggurat_nor_inv_r
+_RABS = (1 << 52) - 1
+_SPARE_WORDS = 0.05  # words read per normal beyond its first, for the slow normals' extra words
+
+
+@functools.cache
+def _ziggurat() -> tuple:
+    """numpy's ziggurat tables ki, wi and fi, 256 entries each, as lists;
+    then ki and wi as arrays indexed by a word's 9 low bits, wi with the
+    sign of bit 8 folded in.  Read on the first draw, never at import."""
+    data = importlib.resources.files(__package__).joinpath("ziggurat.bin").read_bytes()
+    ki, wi, fi = (np.frombuffer(data, t, 256, 2048 * k) for k, t in enumerate(("<u8", "<f8", "<f8")))
+    return (ki.tolist(), wi.tolist(), fi.tolist()), np.concatenate((ki, ki)), np.concatenate((wi, -wi))
+
+
+def _normal(words, u, i: int) -> tuple:
+    """numpy's random_standard_normal from word i on, given the words and
+    their uniforms u: the normal, and the index of the first word it leaves."""
+    ki, wi, fi = _ziggurat()[0]
+    while True:
+        r = int(words[i])
+        idx, rabs = r & 0xFF, r >> 9 & _RABS
+        x = -(rabs * wi[idx]) if r & 0x100 else rabs * wi[idx]
+        if rabs < ki[idx]:
+            return x, i + 1
+        if idx == 0:  # the tail beyond r: two words a try
+            while True:
+                xx, yy = -_ZIGGURAT_INV_R * math.log1p(-u[i + 1]), -math.log1p(-u[i + 2])
+                i += 2
+                if yy + yy > xx * xx:
+                    return (-(_ZIGGURAT_R + xx) if rabs & 0x100 else _ZIGGURAT_R + xx), i + 1
+        if (fi[idx - 1] - fi[idx]) * u[i + 1] + fi[idx] < math.exp(-0.5 * x * x):
+            return x, i + 2
+        i += 2  # outside the wedge: the next try starts past the wedge's word
+
+
 def _draw(draws: dict, rng, n: int) -> list:
-    """The next n samples of the stream, as the samplers' column forms."""
-    calls = []  # one sample's calls on the stream, adjacent draws of a kind merged
-    for s in draws.values():
-        for kind, k in (("normal", s.normals), ("uniform", len(s.uniforms))):
-            if k and calls and calls[-1][0] == kind:
-                calls[-1][1] += k
-            elif k:
-                calls.append([kind, k])
-    method = {"normal": rng.standard_normal, "uniform": rng.random}
-    # the block's calls: k + j draws of a kind are the stream of k, then j
-    if len(calls) == 1:
-        stream = [(calls[0][0], calls[0][1] * n)]
-    elif calls[0][0] == calls[-1][0]:  # a sample's last call merges with the next one's first
-        (kind, first), *middle, (_, last) = calls
-        stream = [(kind, first), *(middle + [(kind, last + first)]) * (n - 1), *middle, (kind, last)]
-    else:
-        stream = calls * n
-    flat, start = np.empty(n * sum(k for _, k in calls)), 0
-    for kind, k in stream:
-        method[kind](out=flat[start : start + k])
-        start += k
-    columns = iter(np.ascontiguousarray(flat.reshape(n, -1).T))
+    """The next n samples of the stream, as the samplers' column forms: the
+    block's slots, each sample's normals and uniforms in draw order, from
+    one read of PCG64's raw words.  A uniform takes one word, and so does a
+    normal on the ziggurat's fast path; both are decoded on whole columns.
+    A walk evaluates the slow normals one at a time, and shifts the later
+    slots by the extra words they take."""
+    normal = [k < s.normals for s in draws.values() for k in range(s.normals + len(s.uniforms))]
+    width, slots = len(normal), n * len(normal)
+    _, ki, wi = _ziggurat()
+    bits, words = rng.bit_generator, np.empty(0, np.uint64)
+    state, size = bits.state, slots + math.ceil(_SPARE_WORDS * n * sum(normal))
+    while True:
+        # rng.integers over every uint64 is the bit generator's raw words
+        words = np.concatenate((words, rng.integers(0, 2**64 - 1, size, np.uint64, endpoint=True)))
+        low9, rabs, u = (words & 0x1FF).astype(np.intp), words >> 9 & _RABS, (words >> 11) * 2.0**-53
+        x = rabs * wi[low9]  # rabs * -wi is -(rabs * wi), as numpy negates it, even at rabs = 0
+        at, shift, off, end = [], [0], 0, 0  # the slow normals' slots; slot j reads word j + off
+        try:
+            for i in np.flatnonzero(rabs >= ki[low9]).tolist():
+                j = i - off
+                if j >= slots:
+                    break
+                if i >= end and normal[j % width]:  # not a slow normal's later word, nor a uniform
+                    x[i], end = _normal(words, u, i)
+                    off = end - 1 - j
+                    at.append(j)
+                    shift.append(off)
+        except IndexError:  # a slow normal ran past the words read
+            off = len(words)
+        if slots + off <= len(words):
+            break
+        size = slots // 16 + 64
+    bits.state = state
+    bits.advance(slots + off)
+    if state["has_uint32"]:  # advance drops the half word a uint32 draw keeps
+        bits.state = {**bits.state, "has_uint32": 1, "uinteger": state["uinteger"]}
+    word = (np.arange(slots) + np.repeat(shift, np.diff([-1, *at, slots - 1]))).reshape(n, width).T
+    columns = iter([x[w] if is_normal else u[w] for w, is_normal in zip(word, normal)])
     values = []
     for s in draws.values():
         v = [next(columns) for _ in range(s.normals)]

@@ -261,8 +261,9 @@ def _bits(x: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("k", [1, 3, 4, 8])
 def test_normal_block_is_the_stream_of_its_calls(k):
-    # run_check draws normals-only checks as one block, and merges a
-    # sample's adjacent normals into one call
+    # _draw decodes a block's normals from one read of raw words, as one
+    # standard_normal call over the block would draw them; that call draws
+    # the normals of many one-sample calls
     a, b = (np.random.Generator(np.random.PCG64(11)) for _ in range(2))
     block = a.standard_normal(k * 5000)
     calls = np.concatenate([b.standard_normal(k) for _ in range(5000)])
@@ -271,8 +272,8 @@ def test_normal_block_is_the_stream_of_its_calls(k):
 
 @pytest.mark.parametrize("low, high", [(0.0, 2.0 * math.pi), (-2.0, 2.0)])
 def test_uniform_is_an_affine_map_of_random(low, high):
-    # run_check draws uniforms as rng.random, k at a time, and maps them onto
-    # the sampler's range itself
+    # _draw decodes a uniform from one raw word as rng.random does, and maps
+    # it onto the sampler's range itself
     a, b = (np.random.Generator(np.random.PCG64(12)) for _ in range(2))
     uniform = np.array([a.uniform(low, high) for _ in range(30000)])
     random = np.concatenate([b.random(k) for k in (1, 2, 3) * 5000])
@@ -292,8 +293,7 @@ def test_blocks_split_the_stream(monkeypatch, guard):
 @pytest.mark.parametrize("n", [1, 2, 64, 500])
 @pytest.mark.parametrize("name", EXPECTED_CATALOG)
 def test_draw_gives_the_reference_samplers_values(name, n):
-    # _draw fills one buffer with the stream's calls, adjacent calls of a
-    # kind merged within and across samples; each row has the values the
+    # _draw decodes a block from raw words; each row has the values the
     # scalar samplers draw one sample at a time, and the stream ends where
     # theirs does
     _, draws = verify.CHECKS[name]
@@ -304,3 +304,73 @@ def test_draw_gives_the_reference_samplers_values(name, n):
         got = {key: verify._row(x, i) for key, x in zip(draws, columns)}
         assert json.dumps(got, default=verify.encode) == json.dumps(want, default=verify.encode), i
     assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_integers_over_every_uint64_are_the_raw_words():
+    # _draw reads raw words through this Generator call, which the bench's
+    # draw timer sees, in place of bit_generator.random_raw, which it does not
+    a, b = (np.random.Generator(np.random.PCG64(13)) for _ in range(2))
+    words = a.integers(0, 2**64 - 1, size=5000, dtype=np.uint64, endpoint=True)
+    assert np.array_equal(words, b.bit_generator.random_raw(5000))
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_normals_are_standard_normal_bit_for_bit(monkeypatch):
+    # 10^6 normals reach the ziggurat's wedge and tail, which _draw walks
+    # one normal at a time, about 15,000 and 250 times
+    slow, normal = [], verify._normal  # the first word's layer of each slow normal
+
+    def counted(words, u, i):
+        slow.append(int(words[i]) & 0xFF)
+        return normal(words, u, i)
+
+    monkeypatch.setattr(verify, "_normal", counted)
+    for seed in (0, 7):
+        a, b = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+        (got,) = verify._draw({"x": verify.Sampler(1, (), lambda x: x)}, a, 500_000)
+        assert np.array_equal(_bits(got), _bits(b.standard_normal(500_000)))
+        assert a.bit_generator.state == b.bit_generator.state
+    tails = slow.count(0)
+    assert tails >= 100 and len(slow) - tails >= 10_000
+
+
+class _CountingGenerator:
+    """A Generator's bit generator and integers, with integers' calls counted."""
+
+    def __init__(self, rng):
+        self._rng, self.bit_generator, self.calls = rng, rng.bit_generator, 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self._rng.integers(*args, **kwargs)
+
+
+@pytest.mark.parametrize("name", ["reconcile", "fiber-invariance", "template-quat"])
+def test_draw_reads_more_words_when_the_spare_runs_short(monkeypatch, name):
+    # with no spare words every slow normal leaves the block short of words
+    monkeypatch.setattr(verify, "_SPARE_WORDS", 0.0)
+    _, draws = verify.CHECKS[name]
+    a, b = (np.random.Generator(np.random.PCG64(subseed(3, name))) for _ in range(2))
+    counted = _CountingGenerator(a)
+    columns = verify._draw(draws, counted, 300)
+    assert counted.calls > 1
+    for i in range(300):
+        want = {key: verify_reference.SAMPLERS[s](b) for key, s in draws.items()}
+        got = {key: verify._row(x, i) for key, x in zip(draws, columns)}
+        assert json.dumps(got, default=verify.encode) == json.dumps(want, default=verify.encode), i
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_draw_keeps_a_buffered_half_word():
+    # a uint32 draw leaves half a word buffered; normals and uniforms leave
+    # it there, and so must _draw, whose advance alone would drop it
+    _, draws = verify.CHECKS["reconcile"]
+    a, b = (np.random.Generator(np.random.PCG64(14)) for _ in range(2))
+    for rng in (a, b):
+        rng.integers(0, 2**32, dtype=np.uint32)
+    verify._draw(draws, a, 64)
+    for _ in range(64):
+        for s in draws.values():
+            verify_reference.SAMPLERS[s](b)
+    assert a.bit_generator.state == b.bit_generator.state
+    assert a.bit_generator.state["has_uint32"] == 1
