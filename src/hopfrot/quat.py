@@ -185,9 +185,19 @@ def complex_of(re, im):
     return complex(re, im)
 
 
+def magnitude(z):
+    """abs(z), but NaN where CPython 3.11's abs(complex) raises on a stale errno."""
+    try:
+        return abs(z)
+    except OverflowError:
+        if z != z:  # a NaN part and no infinite one, after an earlier overflow
+            return math.nan
+        raise
+
+
 def _pair_norm(z: complex, w: complex) -> float:
     try:
-        return math.sqrt(abs(z) ** 2 + abs(w) ** 2)
+        return math.sqrt(magnitude(z) ** 2 + magnitude(w) ** 2)
     except OverflowError:  # |z|, |w| or a square beyond the float range
         return math.inf
 

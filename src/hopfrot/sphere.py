@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotUnit, ZeroVector
-from .quat import EPS_NORM, ComplexPair, vector_norm, where
+from .quat import EPS_NORM, ComplexPair, magnitude, vector_norm, where
 
 EPS_PROJ = 1e-9
 
@@ -62,7 +62,7 @@ class ProjectivePoint:
 
 def project(v: ComplexPair) -> ProjectivePoint:
     """Canonical projection C^2 \\ {0} -> P^1."""
-    if abs(v.z) <= EPS_NORM and abs(v.w) <= EPS_NORM:
+    if magnitude(v.z) <= EPS_NORM and magnitude(v.w) <= EPS_NORM:
         raise ZeroVector("cannot project the zero vector")
     return ProjectivePoint(canonical(v))
 
@@ -72,15 +72,15 @@ def canonical(v: ComplexPair) -> ComplexPair:
     numbers or of complex columns)."""
     n = v.norm()
     z, w = v.z / n, v.w / n
-    pivot = where(abs(w) > EPS_NORM, w, z)
-    phase = pivot / abs(pivot)
+    pivot = where(magnitude(w) > EPS_NORM, w, z)
+    phase = pivot / magnitude(pivot)
     return ComplexPair(z / phase, w / phase)
 
 
 def proj_eq(p: ProjectivePoint, q: ProjectivePoint) -> bool:
     """Equality of projective classes via the scale-free cross test."""
     a, b = p.rep, q.rep
-    cross = abs(a.z * b.w - a.w * b.z)
+    cross = magnitude(a.z * b.w - a.w * b.z)
     scale = max(1.0, a.norm() * b.norm())
     return cross <= EPS_PROJ * scale
 

@@ -428,17 +428,17 @@ CATALOG = list(CHECKS)
 _MAX_REDRAWS = 1000
 # candidates per block: at least _MIN_BLOCK, so that a check that redraws
 # most of them reaches its sample count, or its stuck error, in few blocks;
-# at most _MAX_BLOCK, so that memory stays bounded at any sample count
+# at most _MAX_BLOCK: a check holds one block at a time, so memory stays flat
 _MIN_BLOCK = 64
 _MAX_BLOCK = 1 << 14
 
 
 def run_check(check: DiagramCheck) -> CheckReport:
-    """Run one named check and report the worst observed deviation."""
+    """Run one named check and report the worst observed deviation; each
+    block is reduced as it is drawn, and only the worst row is kept."""
     columns, draws = CHECKS[check.name]
     rng = np.random.Generator(np.random.PCG64(check.seed))
-    blocks = []  # (sample columns, accepted rows, their deviations), in stream order
-    need = check.samples
+    need, failures, max_dev = check.samples, 0, 0.0  # deviations are distances, never below 0.0
     resampled = in_a_row = 0  # redraws, in all and since the last accepted row
     while need:
         sample = _draw(draws, rng, min(max(need, _MIN_BLOCK), _MAX_BLOCK))
@@ -454,19 +454,14 @@ def run_check(check: DiagramCheck) -> CheckReport:
         in_a_row = int(runs[-1])
         resampled += end - len(rows)
         need -= len(rows)
-        blocks.append((sample, rows, dev[rows]))
-    devs = np.concatenate([d for _, _, d in blocks])
-    failures = int(np.count_nonzero(~(devs <= check.tolerance)))  # NaN and infinity fail too
-    # the worst is the last non-finite deviation, which outranks every finite
-    # one, else the last maximum (deviations are distances, never below 0.0)
-    bad = np.flatnonzero(~np.isfinite(devs))
-    j = int(bad[-1] if bad.size else np.flatnonzero(devs == devs.max())[-1])
-    max_dev = devs.item(j)
-    for sample, rows, _ in blocks:
-        if j < len(rows):
-            break
-        j -= len(rows)
-    worst = {name: _row(x, rows[j]) for name, x in zip(draws, sample)}
+        devs = dev[rows]
+        failures += int(np.count_nonzero(~(devs <= check.tolerance)))  # NaN and infinity fail too
+        # the worst is the last non-finite deviation, which outranks every
+        # finite one, else the last maximum: a later block's ties replace it
+        bad = np.flatnonzero(~np.isfinite(devs))
+        if bad.size or (rows.size and math.isfinite(max_dev) and devs.max() >= max_dev):
+            j = int(bad[-1] if bad.size else np.flatnonzero(devs == devs.max())[-1])
+            max_dev, worst = devs.item(j), {name: _row(x, rows[j]) for name, x in zip(draws, sample)}
     worst_input = json.dumps(worst, sort_keys=True, default=encode)
     return CheckReport(check.name, check.samples, max_dev, failures, worst_input, resampled)
 

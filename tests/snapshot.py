@@ -13,8 +13,10 @@ imports hopfrot from SRC_DIR and runs `hopfrot.cli.main` in process on
 - `verify` over the whole catalog at --samples samples: seeds 0, 1 and 7;
   seed 3 with the pole guard widened to 0.5, so that checks redraw; seed 3
   at tolerance 1e-30, so that every sample with a nonzero deviation fails
-  and `failures` counts them; and seed 3 with the pole guard at 10,
-  so that the first guarded check raises its stuck-sampler error.
+  and `failures` counts them; seed 3 with the pole guard at 10, so that
+  the first guarded check raises its stuck-sampler error; and seed 5 with
+  blocks of at most 50 candidates, at the default tolerance and at 1e-30,
+  so that failures and worst rows are reduced over many blocks.
 
 The documents are built with numpy and the standard library alone, never
 with hopfrot, so the script runs against any version of the sources, and
@@ -45,20 +47,23 @@ CHECKS = [
 VARIANTS = ["classic", "quat", "bloch"]
 
 
-def run_main(argv, stdin, pole_guard=None):
-    """cli.main in process: (exit code, stdout, stderr); `pole_guard`, if
-    given, stands in for the harness's pole guard during the call."""
+def run_main(argv, stdin, pole_guard=None, max_block=None):
+    """cli.main in process: (exit code, stdout, stderr); `pole_guard` and
+    `max_block`, if given, stand in for the harness's pole guard and its
+    largest block during the call."""
     from hopfrot import cli, verify  # here, after main() has put SRC_DIR on sys.path
 
-    saved = sys.stdin, sys.stdout, sys.stderr, verify._POLE_GUARD
+    saved = sys.stdin, sys.stdout, sys.stderr, verify._POLE_GUARD, verify._MAX_BLOCK
     sys.stdin, sys.stdout, sys.stderr = io.StringIO(stdin), io.StringIO(), io.StringIO()
     if pole_guard is not None:
         verify._POLE_GUARD = pole_guard
+    if max_block is not None:
+        verify._MAX_BLOCK = max_block
     try:
         code = cli.main(argv)
         return code, sys.stdout.getvalue(), sys.stderr.getvalue()
     finally:
-        sys.stdin, sys.stdout, sys.stderr, verify._POLE_GUARD = saved
+        sys.stdin, sys.stdout, sys.stderr, verify._POLE_GUARD, verify._MAX_BLOCK = saved
 
 
 # -- the batch documents of tests/test_batch.py ---------------------------------
@@ -310,9 +315,9 @@ def _text(label, s):
 
 
 def cases(edge=1000, seed=0, points=20000, samples=300, batch_seeds=(1, 2), bench_seeds=(1, 2, 3)):
-    """Every case of the snapshot as (label, argv, stdin), with the pole
-    guard as a fourth item on the verify cases that widen it; `seed` seeds
-    the edge corpus."""
+    """Every case of the snapshot as (label, argv, stdin), with run_main's
+    pole guard and largest block as further items on the verify cases that
+    set them; `seed` seeds the edge corpus."""
     out = []
     for s in batch_seeds:
         for i in range(len(BATCH)):
@@ -333,6 +338,9 @@ def cases(edge=1000, seed=0, points=20000, samples=300, batch_seeds=(1, 2), benc
     out.append(("verify seed 3 pole guard 0.5", argv, "", 0.5))
     out.append(("verify seed 3 tolerance 1e-30", [*argv, "--tolerance", "1e-30"], ""))
     out.append(("verify seed 3 pole guard 10", argv, "", 10.0))
+    argv = ["verify", "--samples", str(samples), "--seed", "5"]
+    out.append(("verify seed 5 blocks of 50", argv, "", None, 50))
+    out.append(("verify seed 5 blocks of 50 tolerance 1e-30", [*argv, "--tolerance", "1e-30"], "", None, 50))
     return out
 
 
@@ -349,11 +357,11 @@ def report(**kwargs) -> list[str]:
     """The snapshot's lines: for each case its label, argv and input, then
     its exit code (or the exception it raised), stdout and stderr."""
     lines = []
-    for label, argv, stdin, *pole_guard in cases(**kwargs):
+    for label, argv, stdin, *overrides in cases(**kwargs):
         lines.append(f"## {label} {' '.join(argv)}")
         lines.append(_text("stdin", stdin))
         try:
-            code, stdout, stderr = run_main(argv, stdin, *pole_guard)
+            code, stdout, stderr = run_main(argv, stdin, *overrides)
         except Exception as e:  # a traceback is a result too
             lines.append(f"raised {type(e).__name__}: {e}")
             continue

@@ -9,6 +9,7 @@ from hopfrot import (
     INFINITY,
     ComplexPair,
     NotUnit,
+    ProjectivePoint,
     ZeroVector,
     chart,
     ext_conjugate,
@@ -22,7 +23,7 @@ from hopfrot import (
     stereo3,
     stereo3_inv,
 )
-from hopfrot.sphere import require_sphere
+from hopfrot.sphere import canonical, require_sphere
 
 RNG = np.random.default_rng(20240824)
 
@@ -227,3 +228,28 @@ class TestSphereGuard:
         assert stereo1((below, 0.0, rest)).finite == complex(0.0, rest / (1.0 - below))
         assert stereo3((0.0, 0.0, 1.0 + 2**-52)).is_infinity
         assert stereo1((1.0 + 2**-52, -0.0, 0.0)).is_infinity
+
+
+def overflow():
+    """Leave errno at ERANGE, as an overflowing abs(complex) does."""
+    with pytest.raises(OverflowError):
+        abs(complex(1.5e308, 1.5e308))
+
+
+def test_nan_magnitudes_after_an_overflow():
+    # CPython 3.11's abs(complex) leaves errno as it was on a NaN part and no
+    # infinite one, so right after an overflow it would raise OverflowError
+    nan_c = complex(0.0, math.nan)
+    overflow()
+    assert math.isnan(ComplexPair(nan_c, 0j).norm())
+    overflow()
+    rep = project(ComplexPair(nan_c, 1j)).rep
+    assert all(map(math.isnan, (rep.z.real, rep.z.imag, rep.w.real, rep.w.imag)))
+    overflow()
+    v = canonical(ComplexPair(nan_c, nan_c))
+    assert all(map(math.isnan, (v.z.real, v.z.imag, v.w.real, v.w.imag)))
+    p, q = ProjectivePoint(ComplexPair(nan_c, 1j)), project(ComplexPair(1 + 0j, 0j))
+    overflow()
+    assert not proj_eq(p, q)
+    overflow()  # a finite modulus beyond the float range still overflows
+    assert ComplexPair(complex(1.5e308, 1.5e308), 0j).norm() == math.inf

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,18 +98,22 @@ def test_unit_quat_sampler_is_exactly_rounded():
     assert verify._row(g, 18).x0 == 0.5846807198571102
 
 
-ROW_NUMBER = verify.Sampler(1, (), lambda v: np.arange(len(v)))  # draws a normal, gives i
-
-
 def stub(monkeypatch, devs, poles):
-    """Replace odot-lemma by a check whose sample i is {"i": i}, with
-    deviation devs[i] and pole row poles[i]; the rows past them are pole
-    rows with NaN deviations, which run_check must never reach."""
-    def columns(i):
-        pad = [math.nan] * (len(i) - len(devs))
-        return np.array(devs + pad), np.array(poles + [True] * len(pad))
+    """Replace odot-lemma by a check whose sample i of the stream, counted
+    across blocks, is {"i": i}, with deviation devs[i] and pole row
+    poles[i]; the rows past them are pole rows with NaN deviations, which
+    run_check must never reach."""
+    drawn = [0]  # the candidates of the blocks drawn so far
 
-    monkeypatch.setitem(verify.CHECKS, "odot-lemma", (columns, {"i": ROW_NUMBER}))
+    def number(v):  # draws a normal per sample, gives its i
+        drawn[0] += len(v)
+        return np.arange(drawn[0] - len(v), drawn[0])
+
+    def columns(i):
+        pad = [math.nan] * (int(i[-1]) + 1)
+        return np.array(devs + pad)[i], np.array(poles + [True] * len(pad))[i]
+
+    monkeypatch.setitem(verify.CHECKS, "odot-lemma", (columns, {"i": verify.Sampler(1, (), number)}))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -134,6 +139,61 @@ def test_nan_deviation_on_a_pole_row_is_a_redraw(monkeypatch):
     report = run_check(DiagramCheck("odot-lemma", 2, 0, 1e-9))
     assert (report.resampled, report.failures) == (0, 1)
     assert report.worst_input == '{"i": 1}'
+
+
+NAN, INF = float("nan"), float("inf")
+# deviations of 5 samples, and the sample whose row is the worst: the last
+# non-finite one, else the last maximum, across the blocks as within one
+ACROSS_BLOCKS = [
+    ([1e-16, NAN, 5e-16, 2e-16, 3e-16], 1),  # a non-finite row outranks a later maximum
+    ([1e-16, INF, 5e-16, NAN, 3e-16], 3),  # the last non-finite row, of any kind
+    ([1e-16, 3e-16, 2e-16, 3e-16, 1e-16], 3),  # tied maxima: the later one
+    ([1e-16, 4e-16, 2e-16, 3e-16, 1e-16], 1),  # a smaller later maximum leaves it
+]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+@pytest.mark.parametrize("devs, worst", ACROSS_BLOCKS)
+def test_worst_row_is_reduced_across_blocks(monkeypatch, devs, worst, block):
+    # blocks of `block` candidates give the report of one block of them
+    stub(monkeypatch, devs, [False] * 5)
+    whole = run_check(DiagramCheck("odot-lemma", 5, 0, 2.5e-16))
+    monkeypatch.setattr(verify, "_MIN_BLOCK", 1)
+    monkeypatch.setattr(verify, "_MAX_BLOCK", block)
+    stub(monkeypatch, devs, [False] * 5)
+    report = run_check(DiagramCheck("odot-lemma", 5, 0, 2.5e-16))
+    assert report.failures == sum(not d <= 2.5e-16 for d in devs)
+    assert repr(report.max_deviation) == repr(devs[worst])
+    assert report.worst_input == f'{{"i": {worst}}}'
+    assert repr(report) == repr(whole)
+
+
+def test_a_block_of_pole_rows_leaves_the_worst_row(monkeypatch):
+    # with blocks of 2 candidates the second block is all pole rows, whose
+    # NaN deviations are redraws
+    monkeypatch.setattr(verify, "_MIN_BLOCK", 1)
+    monkeypatch.setattr(verify, "_MAX_BLOCK", 2)
+    poles = [False, False, True, True, False, False, False]
+    stub(monkeypatch, [1e-16, 3e-16, NAN, NAN, 2e-16, 3e-16, 1e-16], poles)
+    report = run_check(DiagramCheck("odot-lemma", 5, 0, 2.5e-16))
+    assert (report.resampled, report.failures, report.max_deviation) == (2, 2, 3e-16)
+    assert report.worst_input == '{"i": 5}'
+
+
+def test_check_memory_does_not_grow_with_samples(monkeypatch):
+    # a check reduces each block as it is drawn and holds one at a time
+    monkeypatch.setattr(verify, "_MAX_BLOCK", 256)
+    run_check(DiagramCheck("reconcile", 1, 0, 1e-9))  # the table cache and other one-time allocations
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            run_check(DiagramCheck("reconcile", samples, 0, 1e-9))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8192) <= 1.25 * peak(512)
 
 
 def test_nan_deviation_fails_the_cli(monkeypatch):
