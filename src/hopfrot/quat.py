@@ -17,6 +17,7 @@ go through `each`, one element at a time.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,12 +37,18 @@ _SMALL = 2.0**-450
 _U = 2.0**-53
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Quaternion:
     x0: float
     x1: float
     x2: float
     x3: float
+
+    def __init__(self, x0, x1, x2, x3):  # each field via its slot, past the frozen __setattr__
+        _x0(self, x0)
+        _x1(self, x1)
+        _x2(self, x2)
+        _x3(self, x3)
 
     def __mul__(self, other: "Quaternion") -> "Quaternion":
         return multiply(self, other)
@@ -50,12 +57,16 @@ class Quaternion:
         return Quaternion(-self.x0, -self.x1, -self.x2, -self.x3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComplexPair:
     """A vector (z, w) in C^2."""
 
     z: complex
     w: complex
+
+    def __init__(self, z, w):
+        _z(self, z)
+        _w(self, w)
 
     def norm(self) -> float:
         """sqrt(|z|^2 + |w|^2); on complex columns, each row's with its bits."""
@@ -74,6 +85,8 @@ class ComplexPair:
         return ComplexPair(s * self.z, s * self.w)
 
 
+_x0, _x1, _x2, _x3 = (getattr(Quaternion, f).__set__ for f in Quaternion.__slots__)
+_z, _w = ComplexPair.z.__set__, ComplexPair.w.__set__
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
 I = Quaternion(0.0, 1.0, 0.0, 0.0)
 J = Quaternion(0.0, 0.0, 1.0, 0.0)
@@ -301,7 +314,7 @@ def _two_sum(a, b):
 
 def _norm(v) -> float:
     try:
-        s = math.fsum([x * x for x in v])
+        s = math.fsum(map(operator.mul, v, v))
     except OverflowError:  # finite squares whose sum overflows
         s = math.inf
     if s == math.inf and all(map(math.isfinite, v)):

@@ -21,11 +21,14 @@ from .quat import EPS_NORM, ComplexPair, magnitude, vector_norm, where
 EPS_PROJ = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtendedComplex:
     """An element of C+ : a finite complex value or the point at infinity."""
 
     value: complex | None
+
+    def __init__(self, value):
+        _value(self, value)
 
     @property
     def is_infinity(self) -> bool:
@@ -38,17 +41,7 @@ class ExtendedComplex:
         return self.value
 
 
-INFINITY = ExtendedComplex(None)
-
-
-def finite(value: complex) -> ExtendedComplex:
-    value = complex(value)
-    if not (cmath.isfinite(value)):
-        raise ValueError(f"{value!r} is not a finite complex number")
-    return ExtendedComplex(value)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProjectivePoint:
     """A point [z, w] of P^1 held by a canonical unit-norm representative.
 
@@ -58,6 +51,20 @@ class ProjectivePoint:
     """
 
     rep: ComplexPair
+
+    def __init__(self, rep):
+        _rep(self, rep)
+
+
+_value, _rep = ExtendedComplex.value.__set__, ProjectivePoint.rep.__set__
+INFINITY = ExtendedComplex(None)
+
+
+def finite(value: complex) -> ExtendedComplex:
+    value = complex(value)
+    if not (cmath.isfinite(value)):
+        raise ValueError(f"{value!r} is not a finite complex number")
+    return ExtendedComplex(value)
 
 
 def project(v: ComplexPair) -> ProjectivePoint:
@@ -167,12 +174,8 @@ def stereo1_inv(u: ExtendedComplex) -> np.ndarray:
 
 
 def ext_conjugate(u: ExtendedComplex) -> ExtendedComplex:
-    if u.is_infinity:
-        return INFINITY
-    return ExtendedComplex(u.finite.conjugate())
+    return INFINITY if u.is_infinity else ExtendedComplex(u.finite.conjugate())
 
 
 def ext_mul_i(u: ExtendedComplex) -> ExtendedComplex:
-    if u.is_infinity:
-        return INFINITY
-    return ExtendedComplex(1j * u.finite)
+    return INFINITY if u.is_infinity else ExtendedComplex(1j * u.finite)

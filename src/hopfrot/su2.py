@@ -13,12 +13,17 @@ from .quat import ComplexPair, Quaternion, require_unit
 from .sphere import ProjectivePoint, project
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SU2Matrix:
     z: complex
     w: complex
 
+    def __init__(self, z, w):
+        _z(self, z)
+        _w(self, w)
 
+
+_z, _w = SU2Matrix.z.__set__, SU2Matrix.w.__set__
 IDENTITY = SU2Matrix(1 + 0j, 0j)
 
 

@@ -462,6 +462,7 @@ def run_check(check: DiagramCheck) -> CheckReport:
         if bad.size or (rows.size and math.isfinite(max_dev) and devs.max() >= max_dev):
             j = int(bad[-1] if bad.size else np.flatnonzero(devs == devs.max())[-1])
             max_dev, worst = devs.item(j), {name: _row(x, rows[j]) for name, x in zip(draws, sample)}
+        del sample, dev, pole, devs  # before the next block is drawn
     worst_input = json.dumps(worst, sort_keys=True, default=encode)
     return CheckReport(check.name, check.samples, max_dev, failures, worst_input, resampled)
 

@@ -1,4 +1,4 @@
-"""Byte snapshot of the CLI: exit code, stdout and stderr for a fixed corpus.
+"""Byte snapshot of the CLI and the scalar library calls for a fixed corpus.
 
     python tests/snapshot.py SRC_DIR > snapshot.txt
 
@@ -16,7 +16,10 @@ imports hopfrot from SRC_DIR and runs `hopfrot.cli.main` in process on
   and `failures` counts them; seed 3 with the pole guard at 10, so that
   the first guarded check raises its stuck-sampler error; and seed 5 with
   blocks of at most 50 candidates, at the default tolerance and at 1e-30,
-  so that failures and worst rows are reduced over many blocks.
+  so that failures and worst rows are reduced over many blocks;
+
+then, in a library section, calls the scalar functions of LIBRARY in
+process on seeded unit inputs and edge inputs, one line per call.
 
 The documents are built with numpy and the standard library alone, never
 with hopfrot, so the script runs against any version of the sources, and
@@ -34,6 +37,7 @@ import json
 import math
 import random
 import sys
+import warnings
 
 import numpy as np
 
@@ -303,6 +307,82 @@ def edge_cases(n, seed=0):
     return hand + [edge_case(rng) for _ in range(n)]
 
 
+# -- the library's scalar calls ---------------------------------------------------
+
+# each function and the kinds of its arguments: the nine calls of the
+# scalar-calls benchmark (bench/workloads.py), then six more
+LIBRARY = {
+    "rotate": ("rotation", "point"),
+    "gq": ("rotation",),
+    "gb": ("rotation",),
+    "quat_hopf": ("quaternion",),
+    "bloch": ("pair",),
+    "hopf_classic": ("pair",),
+    "lift_bloch": ("point",),
+    "lift_quat_hopf": ("point",),
+    "rotate_via_bloch": ("rotation", "pair"),
+    "to_axis_angle": ("quaternion",),
+    "su2_from_quat": ("quaternion",),
+    "lift_classic": ("point",),
+    "project": ("pair",),
+    "stereo1": ("point",),
+    "stereo3": ("point",),
+}
+LIBRARY_ROWS = 200  # seeded inputs of each kind, after the edge inputs
+
+
+def library_inputs(seed, n):
+    """Each kind's raw inputs (numbers, lists and tuples): the edge
+    inputs, then n seeded ones.  A rotation is (theta, axis), a quaternion
+    is scalar first and a pair is (Re z, Im z, Re w, Im w)."""
+    rng = np.random.default_rng(seed)
+    off = [1e-8, 1.0, math.nan, math.inf]  # off unit norm or not finite
+    rotations = [
+        (0.0, [0.0, 0.0, 1.0]), (-0.0, [1.0, -0.0, 0.0]), (math.pi, [0.6, 0.8, 0.0]),
+        (2.0 * math.pi, [0.0, 0.6, -0.8]), (-7.0, [0.0, 0.0, -1.0]), (1e-300, [0.0, 1.0, 0.0]),
+        (1.0, [0.0, 0.0, 1.0000001]), (1.0, [0.0, 0.0, 0.0]), (math.nan, [0.0, 0.0, 1.0]),
+        (math.inf, [0.0, 0.0, 1.0]), (1.0, [math.nan, 0.0, 1.0]),
+    ]
+    rotations += zip(rng.uniform(-7.0, 7.0, n).tolist(), unit_rows(rng, n, 3))
+    s3 = S3 + [[x, 0.6, 0.0, 0.8] for x in off] + [[1e-170, 1e-170, 0.0, 0.0], [1e300, 0.0, 1e300, 0.0]]
+    scales = np.exp(rng.uniform(-2.0, 2.0, n)).tolist()
+    return {
+        "rotation": rotations,
+        "quaternion": s3 + unit_rows(rng, n, 4),
+        "pair": s3 + [[c * s for c in r] for r, s in zip(unit_rows(rng, n, 4), scales)],
+        "point": SPHERE + [[0.0, 0.8, x] for x in off] + [[0, 0, 0]] + unit_rows(rng, n, 3),
+    }
+
+
+def library_report(seed=0, n=LIBRARY_ROWS) -> list[str]:
+    """One line per call of each LIBRARY function on its inputs: the
+    function, its raw inputs and the repr of its result (an ndarray as its
+    list, which keeps every bit), or the exception it raised; then any
+    warning it gave."""
+    import hopfrot  # here, after main() has put SRC_DIR on sys.path
+
+    build = {
+        "rotation": lambda r: hopfrot.AxisAngle(r[0], tuple(r[1])),
+        "quaternion": lambda r: hopfrot.Quaternion(*r),
+        "pair": lambda r: hopfrot.ComplexPair(complex(r[0], r[1]), complex(r[2], r[3])),
+        "point": lambda r: r,
+    }
+    inputs = library_inputs(seed, n)
+    lines = ["## library"]
+    for name, kinds in LIBRARY.items():
+        for raw in zip(*(inputs[k] for k in kinds)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    out = getattr(hopfrot, name)(*(build[k](r) for k, r in zip(kinds, raw)))
+                    shown = repr(out.tolist() if isinstance(out, np.ndarray) else out)
+                except Exception as e:
+                    shown = f"raised {type(e).__name__}: {e}"
+            lines.append(f"{name} {raw!r}: {shown}")
+            lines += [f"warned {w.category.__name__}: {w.message}" for w in caught]
+    return lines
+
+
 # -- the report --------------------------------------------------------------------
 
 _LONG = 2000
@@ -353,9 +433,10 @@ def _stdout(argv, stdout) -> list[str]:
     return [f"report {r['name']}: {json.dumps(r, sort_keys=True)}" for r in reports]
 
 
-def report(**kwargs) -> list[str]:
+def report(library=LIBRARY_ROWS, **kwargs) -> list[str]:
     """The snapshot's lines: for each case its label, argv and input, then
-    its exit code (or the exception it raised), stdout and stderr."""
+    its exit code (or the exception it raised), stdout and stderr; then the
+    library section, with `library` seeded inputs of each kind."""
     lines = []
     for label, argv, stdin, *overrides in cases(**kwargs):
         lines.append(f"## {label} {' '.join(argv)}")
@@ -366,14 +447,16 @@ def report(**kwargs) -> list[str]:
             lines.append(f"raised {type(e).__name__}: {e}")
             continue
         lines += [f"exit {code}", *_stdout(argv, stdout), _text("stderr", stderr)]
-    return lines
+    return lines + library_report(kwargs.get("seed", 0), library)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("src", help="directory that holds the hopfrot package")
     parser.add_argument("--edge", type=int, default=1000, help="edge documents (default 1000)")
-    parser.add_argument("--seed", type=int, default=0, help="seed of the edge corpus (default 0)")
+    parser.add_argument(
+        "--seed", type=int, default=0, help="seed of the edge corpus and the library inputs (default 0)"
+    )
     parser.add_argument("--points", type=int, default=20000, help="rows per cli-batch document")
     parser.add_argument("--samples", type=int, default=300, help="verify samples per check")
     args = parser.parse_args(argv)

@@ -25,6 +25,7 @@ from hopfrot import quat
 from hopfrot.quat import I, J, K, ONE, ComplexColumn, require_unit, vector_norm
 
 from oracles import pure_product
+from values import assert_immutable_value
 
 finite_floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 quats = st.builds(Quaternion, finite_floats, finite_floats, finite_floats, finite_floats)
@@ -371,3 +372,36 @@ def test_column_magnitudes_have_each_rows_bits(rows):
         assert repr(got_z[i]) == repr(_magnitude(z)), (a, b)
         assert repr(got_w[i]) == repr(_magnitude(w)), (c, d)
         assert repr(got_norm[i]) == repr(_scalar(ComplexPair(z, w).norm)), rows[i]
+
+
+# -- Quaternion and ComplexPair are immutable values --------------------------
+
+
+@pytest.mark.parametrize(
+    "value, changes",
+    [
+        (Quaternion(0.5, -0.5, 0.25, -0.0), {"x2": 2.0}),
+        (ComplexPair(1 + 2j, -0.5j), {"w": 3j}),
+    ],
+)
+def test_values_are_immutable_and_compared_by_value(value, changes):
+    assert_immutable_value(value, **changes)
+
+
+def test_constants_keep_their_values():
+    assert [repr(q) for q in (ONE, I, J, K)] == [
+        "Quaternion(x0=1.0, x1=0.0, x2=0.0, x3=0.0)",
+        "Quaternion(x0=0.0, x1=1.0, x2=0.0, x3=0.0)",
+        "Quaternion(x0=0.0, x1=0.0, x2=1.0, x3=0.0)",
+        "Quaternion(x0=0.0, x1=0.0, x2=0.0, x3=1.0)",
+    ]
+    assert I * J == K and -ONE == Quaternion(-1.0, -0.0, -0.0, -0.0)
+
+
+def test_column_values_still_construct():
+    rows = list(np.arange(12.0).reshape(4, 3))
+    q = Quaternion(*rows)
+    assert all(getattr(q, f) is r for f, r in zip(("x0", "x1", "x2", "x3"), rows))
+    v = to_complex_pair(q)
+    assert type(v.z) is ComplexColumn and v.w.imag.tolist() == [9.0, 10.0, 11.0]
+    assert multiply(q, ONE).x3.tolist() == [9.0, 10.0, 11.0]

@@ -1,11 +1,17 @@
-"""tests/snapshot.py, the CLI byte snapshot that compares two versions of
-the sources, kept runnable: a small corpus run twice gives the same lines."""
+"""tests/snapshot.py, the CLI and library byte snapshot that compares two
+versions of the sources, kept runnable: a small corpus run twice gives the
+same lines."""
 
 import json
 
-from snapshot import CHECKS, report
+from snapshot import CHECKS, LIBRARY, report
 
-SMALL = dict(edge=80, seed=5, points=30, samples=5, batch_seeds=(1,), bench_seeds=(1,))
+SMALL = dict(edge=80, seed=5, points=30, samples=5, batch_seeds=(1,), bench_seeds=(1,), library=2)
+# the calls that the scalar-calls benchmark times (bench/workloads.py SCALAR_CALLS)
+SCALAR_CALLS = [
+    "rotate", "gq", "gb", "quat_hopf", "bloch", "hopf_classic", "lift_bloch", "lift_quat_hopf",
+    "rotate_via_bloch",
+]
 TOLERANCE_ARGV = ["verify", "--samples", "5", "--seed", "3", "--tolerance", "1e-30"]
 
 
@@ -27,3 +33,14 @@ def test_snapshot_is_deterministic():
     assert first[case + 2] == "exit 1"
     reports = [json.loads(line.split(": ", 1)[1]) for line in first[case + 3 : case + 3 + len(CHECKS)]]
     assert all(r["failures"] > 0 for r in reports)
+
+
+def test_library_section_calls_every_scalar_call():
+    lines = report(**SMALL)
+    section = lines[lines.index("## library") + 1 :]
+    called = {line.split(" ", 1)[0] for line in section if not line.startswith("warned ")}
+    assert set(SCALAR_CALLS) <= called
+    assert called == set(LIBRARY)
+    # a result and a raised error both show
+    assert any(": Quaternion(x0=" in line for line in section)
+    assert any(": raised NotUnit: " in line for line in section)

@@ -8,6 +8,7 @@ import pytest
 from hopfrot import (
     INFINITY,
     ComplexPair,
+    ExtendedComplex,
     NotUnit,
     ProjectivePoint,
     ZeroVector,
@@ -23,7 +24,10 @@ from hopfrot import (
     stereo3,
     stereo3_inv,
 )
+from hopfrot.quat import ComplexColumn
 from hopfrot.sphere import canonical, require_sphere
+
+from values import assert_immutable_value
 
 RNG = np.random.default_rng(20240824)
 
@@ -253,3 +257,30 @@ def test_nan_magnitudes_after_an_overflow():
     assert not proj_eq(p, q)
     overflow()  # a finite modulus beyond the float range still overflows
     assert ComplexPair(complex(1.5e308, 1.5e308), 0j).norm() == math.inf
+
+
+@pytest.mark.parametrize(
+    "value, changes",
+    [
+        (ExtendedComplex(0.5 - 2j), {"value": None}),
+        (INFINITY, {"value": 1j}),
+        (ProjectivePoint(ComplexPair(0.6j, 0.8 + 0j)), {"rep": ComplexPair(1 + 0j, 0j)}),
+    ],
+)
+def test_points_are_immutable_values(value, changes):
+    assert_immutable_value(value, **changes)
+
+
+def test_infinity_keeps_its_value():
+    assert repr(INFINITY) == "ExtendedComplex(value=None)"
+    assert INFINITY == ExtendedComplex(None) and INFINITY.is_infinity
+    assert ext_conjugate(INFINITY) is INFINITY and ext_mul_i(INFINITY) is INFINITY
+
+
+def test_points_of_columns_still_construct():
+    z, w = ComplexColumn(np.array([0.6, 0.0]), np.zeros(2)), ComplexColumn(np.zeros(2), np.ones(2))
+    rows = ComplexPair(z, w)
+    p = ProjectivePoint(canonical(rows))
+    assert type(p.rep.w) is ComplexColumn and p.rep.w.real.tolist()[1] == 1.0
+    u = ExtendedComplex(rows.z)
+    assert u.value is rows.z and not u.is_infinity

@@ -23,6 +23,8 @@ from hopfrot import (
 from hopfrot.quat import I, J, K, ONE
 from hopfrot.su2 import IDENTITY, SU2Matrix
 
+from values import assert_immutable_value
+
 RNG = np.random.default_rng(7)
 S = 1 / math.sqrt(2)
 
@@ -141,3 +143,14 @@ def test_rephrase_diagram_commutes():
         if v.norm() < 1e-3:
             continue
         assert proj_eq(act_on_proj(g, project(v)), project(act_on_vector(g, v)))
+
+
+def test_su2_matrix_is_an_immutable_value():
+    assert_immutable_value(SU2Matrix(0.6 + 0j, -0.8j), z=1j)
+    assert repr(IDENTITY) == "SU2Matrix(z=(1+0j), w=0j)"
+
+
+def test_su2_matrix_of_columns_still_constructs():
+    z = to_complex_pair(Quaternion(*np.eye(4)[:, :2]))
+    m = SU2Matrix(z.z, z.w)
+    assert m.z is z.z and quat_from_su2(m).x1.tolist() == [0.0, 1.0]

@@ -196,6 +196,23 @@ def test_check_memory_does_not_grow_with_samples(monkeypatch):
     assert peak(8192) <= 1.25 * peak(512)
 
 
+def test_check_frees_each_block_before_drawing_the_next(monkeypatch):
+    # a block's columns are dropped before the next is drawn, so eight
+    # blocks peak barely above one; kept until rebound, they cost ~1.19x
+    monkeypatch.setattr(verify, "_MAX_BLOCK", 256)
+    run_check(DiagramCheck("reconcile", 1, 0, 1e-9))  # the table cache and other one-time allocations
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            run_check(DiagramCheck("reconcile", samples, 0, 1e-9))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(2048) <= 1.1 * peak(256)
+
+
 def test_nan_deviation_fails_the_cli(monkeypatch):
     def check(g):
         return np.full(len(g), math.nan), False
