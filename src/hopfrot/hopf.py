@@ -101,7 +101,7 @@ def bloch_columns(v: ComplexPair):
 
 def hopf_classic(v: ComplexPair) -> np.ndarray:
     """The original Hopf map: stereo3_inv . chart . project on unit vectors."""
-    n = vector_norm((v.z.real, v.z.imag, v.w.real, v.w.imag))
+    n = v.norm()
     if not abs(n - 1.0) <= EPS_NORM:
         raise NotUnit(f"vector norm {n!r} is not 1")
     return stereo3_inv(chart(project(v)))

@@ -69,17 +69,9 @@ class ComplexPair:
         _w(self, w)
 
     def norm(self) -> float:
-        """sqrt(|z|^2 + |w|^2); on complex columns, each row's with its bits."""
-        if type(self.z) is not ComplexColumn:
-            return _pair_norm(self.z, self.w)
-        with np.errstate(over="ignore"):
-            a = np.array([abs(self.z), abs(self.w)])
-            a[a >= 2.0**512] = np.inf  # where ** raises OverflowError
-            sq = each(math.pow, a.ravel(), np.full(a.size, 2.0)).reshape(a.shape)  # ** is libm's pow
-            # where abs() or ** raised on finite parts, _pair_norm gives inf
-            parts = np.array([[self.z.real, self.z.imag], [self.w.real, self.w.imag]])
-            raised = (np.isinf(a) & np.isfinite(parts).all(axis=1)).any(axis=0)
-            return np.where(raised, np.inf, np.sqrt(sq[0] + sq[1]))
+        """|(z, w)| = |z + w j|: vector_norm of the four real parts, on
+        numbers and on complex columns alike."""
+        return vector_norm((self.z.real, self.z.imag, self.w.real, self.w.imag))
 
     def scale(self, s: complex) -> "ComplexPair":
         return ComplexPair(s * self.z, s * self.w)
@@ -100,8 +92,7 @@ def each(f, *args):
     libm's functions go through here: numpy's own versions round
     differently from libm's on some CPUs.  Not hypot: numpy's calls the C
     library's, as abs(complex) does (2M seeded rows under glibc: 0 differ,
-    6,335 from math.hypot).  But squares: x ** 2 is libm's pow(x, 2.0),
-    which rounds unlike x * x (2,556 of 3M rows differ).
+    6,335 from math.hypot).
     """
     if type(args[0]) is _COLUMN:
         return np.fromiter(map(f, *(a.tolist() for a in args)), np.float64, len(args[0]))
@@ -206,13 +197,6 @@ def magnitude(z):
         if z != z:  # a NaN part and no infinite one, after an earlier overflow
             return math.nan
         raise
-
-
-def _pair_norm(z: complex, w: complex) -> float:
-    try:
-        return math.sqrt(magnitude(z) ** 2 + magnitude(w) ** 2)
-    except OverflowError:  # |z|, |w| or a square beyond the float range
-        return math.inf
 
 
 def multiply(a: Quaternion, b: Quaternion) -> Quaternion:

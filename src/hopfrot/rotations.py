@@ -115,7 +115,7 @@ def reconcile(aa: AxisAngle, p, fiber_q: float, fiber_b: complex) -> tuple[np.nd
 def to_axis_angle(q: Quaternion) -> AxisAngle:
     """Axis-angle of a unit quaternion; axis (0,0,1) for the identity."""
     require_unit(q)
-    s = math.sqrt(q.x1**2 + q.x2**2 + q.x3**2)
+    s = vector_norm((q.x1, q.x2, q.x3))
     if s <= EPS_NORM:
         return AxisAngle(0.0 if q.x0 > 0 else 2.0 * math.pi, (0.0, 0.0, 1.0))
     theta = 2.0 * math.atan2(s, q.x0)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotUnit, ZeroVector
+from .errors import DomainError, NotUnit, ZeroVector
 from .quat import EPS_NORM, ComplexPair, magnitude, vector_norm, where
 
 EPS_PROJ = 1e-9
@@ -68,16 +68,19 @@ def finite(value: complex) -> ExtendedComplex:
 
 
 def project(v: ComplexPair) -> ProjectivePoint:
-    """Canonical projection C^2 \\ {0} -> P^1."""
+    """Canonical projection C^2 \\ {0} -> P^1 of a vector whose norm is finite."""
+    n = v.norm()
+    if not n < math.inf:  # NaN or infinite parts, or finite ones beyond the float range
+        raise DomainError(f"cannot project a vector of norm {n!r}")
     if magnitude(v.z) <= EPS_NORM and magnitude(v.w) <= EPS_NORM:
         raise ZeroVector("cannot project the zero vector")
-    return ProjectivePoint(canonical(v))
+    return ProjectivePoint(canonical(v, n))
 
 
-def canonical(v: ComplexPair) -> ComplexPair:
+def canonical(v: ComplexPair, n=None) -> ComplexPair:
     """The canonical representative of the class of v != 0 (a pair of
-    numbers or of complex columns)."""
-    n = v.norm()
+    numbers or of complex columns); n, if given, is v.norm()."""
+    n = v.norm() if n is None else n
     z, w = v.z / n, v.w / n
     pivot = where(magnitude(w) > EPS_NORM, w, z)
     phase = pivot / magnitude(pivot)

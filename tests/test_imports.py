@@ -1,6 +1,7 @@
 """Every name a module of src/ or tests/ imports is referenced in it, every
 private module-level name of src/ is read somewhere in src/, and every one
-of tests/ somewhere in src/ or tests/."""
+of tests/ somewhere in src/ or tests/; no module of src/ squares with ** 2
+or uses pow or np.linalg.norm."""
 
 import ast
 from collections import Counter
@@ -32,6 +33,30 @@ def unused_imports(path: Path) -> list[str]:
 def test_no_unused_imports():
     paths = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
     assert [u for p in paths for u in unused_imports(p)] == []
+
+
+UNPORTABLE = {"pow", "math.pow", "np.linalg.norm", "numpy.linalg.norm"}
+
+
+def unportable(path: Path) -> list[str]:
+    """"file:line code" for each square `x ** 2` and each use of libm's pow
+    or of np.linalg.norm in `path`.  README's portability claims rest on
+    their absence: x ** 2 is libm's pow(x, 2.0), np.linalg.norm rounds as
+    the CPU's BLAS kernel does, and every norm is vector_norm."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    rel = path.relative_to(ROOT)
+    return [
+        f"{rel}:{node.lineno} {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if (isinstance(node, (ast.Name, ast.Attribute)) and ast.unparse(node) in UNPORTABLE)
+        or (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and isinstance(node.right, ast.Constant) and node.right.value == 2)
+    ]
+
+
+def test_library_has_no_pow_and_no_blas_norm():
+    paths = sorted((ROOT / "src" / "hopfrot").glob("*.py"))
+    assert [u for p in paths for u in unportable(p)] == []
 
 
 def reads(tree: ast.AST) -> Counter:

@@ -322,19 +322,19 @@ def _either_side(x):
 def _mantissa_rows(seed):
     """300 rows of parts with random full mantissas in [2^-2, 2^3), where
     math.hypot rounds apart from the C library's hypot in about 1 row of
-    150, and x * x apart from pow(x, 2.0) in the norm in about 1 of 2600."""
+    150."""
     rng = np.random.default_rng(seed)
     m = 1.0 + rng.integers(0, 2**52, (300, 4)) * 2.0**-52
     return (rng.choice([-1.0, 1.0], (300, 4)) * np.ldexp(m, rng.integers(-2, 3, (300, 4)))).tolist()
 
 
-# each family a case of the columns' hypot, pow and overflow rules
+# each family a case of the columns' hypot and of vector_norm's ranges
 _magnitude_parts = st.one_of(
     st.floats(-10.0, 10.0),
     st.floats(-(2.0**-1022), 2.0**-1022),  # subnormal parts
     st.floats(-(2.0**-500), 2.0**-500),  # parts whose squares are subnormal
-    _either_side(2.0**512),  # from 2^512 on, ** raises OverflowError
-    _either_side(2.0**511.5),  # two parts whose hypot squares to overflow
+    _either_side(2.0**512),  # from 2^512 on, squares overflow and the norm scales
+    _either_side(2.0**511.5),  # two parts whose squares sum beyond the float range
     st.floats(1e308, 1.7976931348623157e308).flatmap(lambda y: st.sampled_from([y, -y])),  # hypot overflows
     st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
 )
@@ -362,6 +362,7 @@ def _magnitude(z):
     | st.integers(0, 2**32 - 1).map(_mantissa_rows)
 )
 def test_column_magnitudes_have_each_rows_bits(rows):
+    assert ComplexPair(2.0**600 + 0j, 0j).norm() == 2.0**600  # whose square overflows
     zr, zi, wr, wi = np.array(rows, dtype=np.float64).T
     pair = ComplexPair(ComplexColumn(zr, zi), ComplexColumn(wr, wi))
     with warnings.catch_warnings():
@@ -372,6 +373,7 @@ def test_column_magnitudes_have_each_rows_bits(rows):
         assert repr(got_z[i]) == repr(_magnitude(z)), (a, b)
         assert repr(got_w[i]) == repr(_magnitude(w)), (c, d)
         assert repr(got_norm[i]) == repr(_scalar(ComplexPair(z, w).norm)), rows[i]
+        assert repr(_scalar(ComplexPair(z, w).norm)) == repr(vector_norm((a, b, c, d))), rows[i]
 
 
 # -- Quaternion and ComplexPair are immutable values --------------------------

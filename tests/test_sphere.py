@@ -8,6 +8,7 @@ import pytest
 from hopfrot import (
     INFINITY,
     ComplexPair,
+    DomainError,
     ExtendedComplex,
     NotUnit,
     ProjectivePoint,
@@ -56,6 +57,25 @@ class TestProject:
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVector):
             project(ComplexPair(0j, 0j))
+
+    def test_huge_finite_norm_projects(self):
+        # squares beyond the float range, which the norm scales down
+        p = project(ComplexPair(1e300 + 0j, 1e300 + 0j)).rep
+        assert p == ComplexPair(0.7071067811865475 + 0j, 0.7071067811865475 + 0j)
+        assert project(ComplexPair(2.0**600 + 0j, 0j)).rep == ComplexPair(1 + 0j, 0j)
+
+    @pytest.mark.parametrize(
+        "z, w",
+        [
+            (1.3e308 + 0j, 1.3e308 + 0j),  # a norm beyond the float range
+            (complex(1.5e308, 1.5e308), 0j),  # and |z| too
+            (complex(math.nan, 0.0), 1j),
+            (complex(0.0, -math.inf), 1j),
+        ],
+    )
+    def test_non_finite_norm_rejected(self, z, w):
+        with pytest.raises(DomainError, match="^cannot project a vector of norm (inf|nan)$"):
+            project(ComplexPair(z, w))
 
     def test_canonical_rep_reproducible(self):
         for _ in range(200):
@@ -247,8 +267,8 @@ def test_nan_magnitudes_after_an_overflow():
     overflow()
     assert math.isnan(ComplexPair(nan_c, 0j).norm())
     overflow()
-    rep = project(ComplexPair(nan_c, 1j)).rep
-    assert all(map(math.isnan, (rep.z.real, rep.z.imag, rep.w.real, rep.w.imag)))
+    with pytest.raises(DomainError):
+        project(ComplexPair(nan_c, 1j))
     overflow()
     v = canonical(ComplexPair(nan_c, nan_c))
     assert all(map(math.isnan, (v.z.real, v.z.imag, v.w.real, v.w.imag)))
