@@ -7,7 +7,8 @@ g -> g i g*; the Bloch map is the physicist's state-to-sphere projection
 
 Each map and lift also has a column form (`*_columns`), which evaluates it
 on float64 component columns with the scalar function's own formulas and
-branches, but without its checks of the input; see `MAPS` and `LIFTS`.
+branches; it raises nothing, and a map's is NaN where its unit check
+rejects a row.  See `MAPS` and `LIFTS`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NotUnit, ZeroVector
+from .errors import DomainError, ZeroVector
 from .quat import (
     EPS_NORM,
     I,
@@ -36,13 +37,14 @@ from .quat import (
     phase,
     require_unit,
     to_complex_pair,
+    unit_norm,
     vector_norm,
 )
 from .sphere import (
+    ProjectivePoint,
     canonical,
     chart,
     ext_conjugate,
-    project,
     ratio,
     require_sphere,
     stereo3_inv,
@@ -101,17 +103,19 @@ def bloch_columns(v: ComplexPair):
 
 def hopf_classic(v: ComplexPair) -> np.ndarray:
     """The original Hopf map: stereo3_inv . chart . project on unit vectors."""
-    n = v.norm()
-    if not abs(n - 1.0) <= EPS_NORM:
-        raise NotUnit(f"vector norm {n!r} is not 1")
-    return stereo3_inv(chart(project(v)))
+    return stereo3_inv(chart(ProjectivePoint(canonical(v, unit_norm(v.norm(), "vector")))))
 
 
 def hopf_classic_columns(*v):
-    """hopf_classic on component columns (Re z, Im z, Re w, Im w), without
-    the unit check."""
-    rep = canonical(to_complex_pair(Quaternion(*v)))
+    """hopf_classic on columns (Re z, Im z, Re w, Im w); NaN where its unit check rejects."""
+    rep = canonical(to_complex_pair(Quaternion(*v)), unit_norm(vector_norm(v), "vector"))
     return stereo3_inv_ratio(rep.z, rep.w)
+
+
+def quat_hopf_columns(*g):
+    """quat_hopf on columns (x0, x1, x2, x3); NaN where its unit check rejects."""
+    n = unit_norm(vector_norm(g), "quaternion")
+    return sandwich(Quaternion(*np.where(np.isnan(n), n, g)), I)
 
 
 def reverse(p) -> np.ndarray:
@@ -217,11 +221,6 @@ def fiber_columns(variant: HopfVariant, lift, m, count: int):
     return lift.scale(complex_of(e.x0, e.x1))
 
 
-def _unit_rows(*v):
-    """The columns v, NaN in the rows that the scalar unit checks reject."""
-    return np.where(abs(vector_norm(v) - 1.0) <= EPS_NORM, v, np.nan)
-
-
 class Forms(NamedTuple):
     """A function's scalar form and its column form.  On rows of finite
     values (for a lift, points unit to rounding), the column form gives
@@ -236,11 +235,8 @@ class Forms(NamedTuple):
 # the lifts of a unit point, on columns of (x, y, z) that are unit to
 # rounding (so the columns skip require_sphere, which they would pass)
 MAPS = {
-    HopfVariant.CLASSIC: Forms(hopf_classic, lambda *v: hopf_classic_columns(*_unit_rows(*v))),
-    HopfVariant.QUAT: Forms(
-        lambda v: quat_hopf(from_complex_pair(v)),
-        lambda *g: sandwich(Quaternion(*_unit_rows(*g)), I),
-    ),
+    HopfVariant.CLASSIC: Forms(hopf_classic, hopf_classic_columns),
+    HopfVariant.QUAT: Forms(lambda v: quat_hopf(from_complex_pair(v)), quat_hopf_columns),
     HopfVariant.BLOCH: Forms(bloch, lambda *v: bloch_columns(to_complex_pair(Quaternion(*v)))),
 }
 LIFTS = {

@@ -310,10 +310,17 @@ def _norm(v) -> float:
     return math.sqrt(math.fsum([y * y for y in [x * scale for x in v]])) / scale
 
 
-def require_unit(q: Quaternion) -> Quaternion:
-    n = norm(q)
+def unit_norm(n, what: str):
+    """n if it is within EPS_NORM of 1, else NotUnit naming `what`; on a column, NaN off 1."""
+    if type(n) is _COLUMN:
+        return np.where(abs(n - 1.0) <= EPS_NORM, n, np.nan)
     if not abs(n - 1.0) <= EPS_NORM:
-        raise NotUnit(f"quaternion norm {n!r} is not 1")
+        raise NotUnit(f"{what} norm {n!r} is not 1")
+    return n
+
+
+def require_unit(q: Quaternion) -> Quaternion:
+    unit_norm(norm(q), "quaternion")
     return q
 
 

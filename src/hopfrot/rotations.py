@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotUnit, ZeroVector
+from .errors import DomainError, ZeroVector
 from .hopf import bloch, conjugate_action, lift_bloch, lift_quat_hopf, quat_hopf
 from .quat import (
     EPS_NORM,
@@ -27,6 +27,7 @@ from .quat import (
     require_unit,
     to_complex_pair,
     transpose,
+    unit_norm,
     vector_norm,
 )
 from .su2 import SU2Matrix, act_on_vector, quat_from_su2
@@ -42,9 +43,7 @@ class AxisAngle:
     def __post_init__(self):
         if not math.isfinite(self.theta):
             raise DomainError(f"angle {self.theta!r} is not finite")
-        n = vector_norm(self.axis)
-        if not abs(n - 1.0) <= EPS_NORM:
-            raise NotUnit(f"axis norm {n!r} is not 1")
+        unit_norm(vector_norm(self.axis), "axis")
 
 
 def axis_angle(theta: float, axis) -> AxisAngle:

@@ -68,19 +68,18 @@ def finite(value: complex) -> ExtendedComplex:
 
 
 def project(v: ComplexPair) -> ProjectivePoint:
-    """Canonical projection C^2 \\ {0} -> P^1 of a vector whose norm is finite."""
+    """Canonical projection C^2 \\ {0} -> P^1 of a vector of finite nonzero norm."""
     n = v.norm()
     if not n < math.inf:  # NaN or infinite parts, or finite ones beyond the float range
         raise DomainError(f"cannot project a vector of norm {n!r}")
-    if magnitude(v.z) <= EPS_NORM and magnitude(v.w) <= EPS_NORM:
+    if n == 0.0:
         raise ZeroVector("cannot project the zero vector")
     return ProjectivePoint(canonical(v, n))
 
 
-def canonical(v: ComplexPair, n=None) -> ComplexPair:
+def canonical(v: ComplexPair, n) -> ComplexPair:
     """The canonical representative of the class of v != 0 (a pair of
-    numbers or of complex columns); n, if given, is v.norm()."""
-    n = v.norm() if n is None else n
+    numbers or of complex columns), given its norm n = v.norm()."""
     z, w = v.z / n, v.w / n
     pivot = where(magnitude(w) > EPS_NORM, w, z)
     phase = pivot / magnitude(pivot)

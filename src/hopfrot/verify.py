@@ -35,7 +35,7 @@ import importlib.resources
 import json
 import math
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -80,6 +80,9 @@ class DiagramCheck:
     def __post_init__(self):
         if self.name not in CHECKS:
             raise UnknownCheck(self.name)
+        for x in (self.samples, self.seed):  # what operator.index takes, but not a bool
+            if isinstance(x, bool) or not hasattr(type(x), "__index__"):
+                raise ValueError(f"samples and seed must be integers, not {x!r}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if not math.isfinite(self.tolerance) or self.tolerance <= 0:
@@ -278,9 +281,7 @@ def _dist3(a, b) -> np.ndarray:
 
 def _dist_pair(a, b) -> np.ndarray:
     """Distance in C^2 between two objects with z and w (pairs or SU(2))."""
-    dz = a.z - b.z
-    dw = a.w - b.w
-    return vector_norm((dz.real, dz.imag, dw.real, dw.imag))
+    return ComplexPair(a.z - b.z, a.w - b.w).norm()
 
 
 # The samplers' quaternions, axes and points are unit to rounding, and so
@@ -317,14 +318,17 @@ def _fiber_points(p, fq, fb):
 def _rephrase(q, v):
     g = _su2(q)
     acted = act_on_vector(g, v)
-    pole = (abs(v.w) < _POLE_GUARD * v.norm()) | (abs(acted.w) < _POLE_GUARD * acted.norm())
-    left = canonical(act_on_vector(g, canonical(v)))  # act_on_proj(g, project(v))
-    return _dist_pair(left, canonical(acted)), pole
+    n, n_acted = v.norm(), acted.norm()
+    pole = (abs(v.w) < _POLE_GUARD * n) | (abs(acted.w) < _POLE_GUARD * n_acted)
+    moved = act_on_vector(g, canonical(v, n))
+    left = canonical(moved, moved.norm())  # act_on_proj(g, project(v))
+    return _dist_pair(left, canonical(acted, n_acted)), pole
 
 
 def _quat_identification(q):
     base = project(ComplexPair(1 + 0j, 0j))
-    moved = canonical(act_on_vector(_su2(q), base.rep))
+    acted = act_on_vector(_su2(q), base.rep)
+    moved = canonical(acted, acted.norm())
     return _dist3(_stereo1_inv_mul_i(moved), sandwich(q, I)), abs(moved.w) < _POLE_GUARD
 
 
@@ -344,8 +348,8 @@ def _template_quat(q):
 def _template_bloch(v):
     # stereo3_inv . ext_conjugate . chart is bloch's formula, here on the
     # canonical representative; bloch itself divides directly
-    pipeline = bloch_columns(canonical(v))
-    return _dist3(pipeline, bloch_columns(v)), abs(v.w) < _POLE_GUARD * v.norm()
+    n = v.norm()
+    return _dist3(bloch_columns(canonical(v, n)), bloch_columns(v)), abs(v.w) < _POLE_GUARD * n
 
 
 def _compare_bloch_quat(s):
@@ -474,6 +478,6 @@ def subseed(seed: int, name: str) -> int:
 
 def run_all(samples: int, seed: int, tolerance: float, names=CATALOG) -> list[CheckReport]:
     """Run the named checks (the full catalog by default) in order with
-    per-check derived sub-seeds; every name is validated before any runs."""
-    checks = [DiagramCheck(name, samples, subseed(seed, name), tolerance) for name in names]
-    return [run_check(check) for check in checks]
+    per-check derived sub-seeds; every check is validated before any runs."""
+    checks = [DiagramCheck(name, samples, seed, tolerance) for name in names]
+    return [run_check(replace(check, seed=subseed(seed, check.name))) for check in checks]

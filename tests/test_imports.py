@@ -1,7 +1,7 @@
 """Every name a module of src/ or tests/ imports is referenced in it, every
 private module-level name of src/ is read somewhere in src/, and every one
 of tests/ somewhere in src/ or tests/; no module of src/ squares with ** 2
-or uses pow or np.linalg.norm."""
+or uses pow or np.linalg.norm, and only its unit guards raise NotUnit."""
 
 import ast
 from collections import Counter
@@ -57,6 +57,37 @@ def unportable(path: Path) -> list[str]:
 def test_library_has_no_pow_and_no_blas_norm():
     paths = sorted((ROOT / "src" / "hopfrot").glob("*.py"))
     assert [u for p in paths for u in unportable(p)] == []
+
+
+UNIT_GUARDS = {"src/hopfrot/quat.py unit_norm", "src/hopfrot/sphere.py require_sphere"}
+
+
+def not_unit_raises(path: Path) -> set[str]:
+    """"file scope" for each scope of `path` that raises NotUnit itself: a
+    function or class by its dotted name, or <module>."""
+    rel = path.relative_to(ROOT)
+    found = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if ast.unparse(exc).rpartition(".")[2] == "NotUnit":
+                    found.add(f"{rel} {scope}")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if scope == "<module>" else f"{scope}.{child.name}")
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+    return found
+
+
+def test_one_unit_guard():
+    # every unit check calls quat.unit_norm, which decides for numbers and
+    # columns alike; require_sphere keeps its own message, which names the point
+    paths = sorted((ROOT / "src" / "hopfrot").glob("*.py"))
+    assert set().union(*map(not_unit_raises, paths)) - UNIT_GUARDS == set()
 
 
 def reads(tree: ast.AST) -> Counter:

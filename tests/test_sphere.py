@@ -12,7 +12,9 @@ from hopfrot import (
     ExtendedComplex,
     NotUnit,
     ProjectivePoint,
+    SU2Matrix,
     ZeroVector,
+    act_on_proj,
     chart,
     ext_conjugate,
     ext_mul_i,
@@ -57,6 +59,21 @@ class TestProject:
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVector):
             project(ComplexPair(0j, 0j))
+        with pytest.raises(ZeroVector):
+            act_on_proj(SU2Matrix(0j, 1 + 0j), ProjectivePoint(ComplexPair(0j, 0j)))
+
+    @pytest.mark.parametrize(
+        "z, w",
+        [(1e-10 + 0j, 0j), (1e-200 + 0j, 1e-200 + 0j), (5e-324 + 0j, 0j), (0j, 5e-324 + 0j),
+         (1e-170 + 1e-170j, 0j)],
+    )
+    def test_nonzero_vector_projects_at_any_scale(self, z, w):
+        # as bloch does: only the exact zero pair has no class
+        n = abs(complex(abs(z), abs(w)))
+        unit = project(ComplexPair(z / n, w / n))
+        assert proj_eq(project(ComplexPair(z, w)), unit)
+        j = SU2Matrix(0j, 1 + 0j)  # (z, w) -> (w, -z), exactly
+        assert proj_eq(act_on_proj(j, ProjectivePoint(ComplexPair(z, w))), act_on_proj(j, unit))
 
     def test_huge_finite_norm_projects(self):
         # squares beyond the float range, which the norm scales down
@@ -269,8 +286,10 @@ def test_nan_magnitudes_after_an_overflow():
     overflow()
     with pytest.raises(DomainError):
         project(ComplexPair(nan_c, 1j))
+    v = ComplexPair(nan_c, nan_c)
+    n = v.norm()
     overflow()
-    v = canonical(ComplexPair(nan_c, nan_c))
+    v = canonical(v, n)
     assert all(map(math.isnan, (v.z.real, v.z.imag, v.w.real, v.w.imag)))
     p, q = ProjectivePoint(ComplexPair(nan_c, 1j)), project(ComplexPair(1 + 0j, 0j))
     overflow()
@@ -300,7 +319,7 @@ def test_infinity_keeps_its_value():
 def test_points_of_columns_still_construct():
     z, w = ComplexColumn(np.array([0.6, 0.0]), np.zeros(2)), ComplexColumn(np.zeros(2), np.ones(2))
     rows = ComplexPair(z, w)
-    p = ProjectivePoint(canonical(rows))
+    p = ProjectivePoint(canonical(rows, rows.norm()))
     assert type(p.rep.w) is ComplexColumn and p.rep.w.real.tolist()[1] == 1.0
     u = ExtendedComplex(rows.z)
     assert u.value is rows.z and not u.is_infinity

@@ -1,11 +1,13 @@
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from hopfrot import CATALOG, CheckReport, DiagramCheck, UnknownCheck, run_all, run_check, verify
+from hopfrot.hopf import MAPS, HopfVariant, hopf_classic
 from hopfrot.quat import ComplexPair, Quaternion, to_complex_pair
 from hopfrot.verify import subseed
 import verify_reference
@@ -36,12 +38,21 @@ def test_unknown_check_rejected():
         DiagramCheck("unknown-name", 10, 0, 1e-9)
 
 
-def test_invalid_parameters_rejected():
+def test_invalid_parameters_rejected(monkeypatch):
     with pytest.raises(ValueError):
         DiagramCheck("rephrase", 0, 0, 1e-9)
     for tolerance in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             DiagramCheck("rephrase", 10, 0, tolerance)
+    # samples and seed are integers, as operator.index takes them, but not bools;
+    # run_all rejects them before any check runs
+    monkeypatch.setattr(verify, "run_check", None)
+    for samples, seed in [(2.0, 0), (True, 0), (5, 1.5), (5, False), (np.float64(5), 0), ("5", 0)]:
+        with pytest.raises(ValueError):
+            DiagramCheck("rephrase", samples, seed, 1e-9)
+        with pytest.raises(ValueError):
+            run_all(samples, seed, 1e-9)
+    assert DiagramCheck("rephrase", np.int64(5), np.uint8(1), 1e-9).samples == 5
 
 
 def test_run_check_deterministic():
@@ -84,6 +95,32 @@ def test_report_consistency():
     report = run_check(DiagramCheck("iso-su2-quat", 100, 5, 1e-12))
     assert isinstance(report, CheckReport)
     assert (report.failures == 0) == (report.max_deviation <= 1e-12)
+
+
+def test_each_vector_norm_is_taken_once(monkeypatch):
+    # counts vector_norm calls through every hopfrot module that binds it
+    checks = {name: verify.CHECKS[name] for name in ("rephrase", "template-bloch")}
+    draws = {name: verify._draw(d, np.random.default_rng(3), 16) for name, (_, d) in checks.items()}
+    calls = []
+
+    def counted(v, norm=verify.vector_norm):
+        calls.append(1)
+        return norm(v)
+
+    for module in (m for name, m in sys.modules.items() if name.startswith("hopfrot.")):
+        if hasattr(module, "vector_norm"):
+            monkeypatch.setattr(module, "vector_norm", counted)
+
+    def count(f, *args):
+        calls.clear()
+        f(*args)
+        return len(calls)
+
+    unit = (0.6, 0.0, 0.0, 0.8)
+    assert count(hopf_classic, ComplexPair(complex(*unit[:2]), complex(*unit[2:]))) == 1
+    assert count(MAPS[HopfVariant.CLASSIC].columns, *np.array([unit, unit]).T) == 1
+    assert count(checks["rephrase"][0], *draws["rephrase"]) == 4
+    assert count(checks["template-bloch"][0], *draws["template-bloch"]) == 2
 
 
 def test_unit_quat_sampler_is_exactly_rounded():
