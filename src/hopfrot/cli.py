@@ -189,10 +189,7 @@ def _evaluate(rows: np.ndarray, columns, scalar) -> np.ndarray:
     the result has overflowed, a domain error naming the row.
     """
     with np.errstate(all="ignore"):
-        cols = columns(*rows.T)
-        out = np.empty((len(rows), len(cols)))
-        for j, c in enumerate(cols):
-            out[:, j] = c
+        out = np.column_stack(np.broadcast_arrays(*columns(*rows.T)))
         bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
         if len(bad):
             row = rows[bad[0]].tolist()

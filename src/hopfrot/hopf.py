@@ -39,6 +39,7 @@ from .quat import (
     to_complex_pair,
     unit_norm,
     vector_norm,
+    where,
 )
 from .sphere import (
     ProjectivePoint,
@@ -125,14 +126,12 @@ def reverse(p) -> np.ndarray:
 
 
 def _acos(t):
-    if type(t) is not np.ndarray:
-        return math.acos(max(-1.0, min(1.0, t)))
-    return each(math.acos, np.maximum(np.where(t < 1.0, t, 1.0), -1.0))  # as min(1.0, nan) is 1.0
+    # acos(max(-1.0, min(1.0, t))): NaN clamps to 1.0, as min(1.0, nan) is 1.0
+    return each(math.acos, where(t < 1.0, where(t > -1.0, t, -1.0), 1.0))
 
 
 def _spherical_lift(p, sign: int) -> ComplexPair:
-    x, y, z = require_sphere(p)
-    zr, zi, wr, wi = spherical_lift_columns(x, y, z, sign)
+    zr, zi, wr, wi = spherical_lift_columns(*require_sphere(p), sign)
     return ComplexPair(complex(zr, zi), complex(wr, wi))
 
 
@@ -178,25 +177,31 @@ def lift_quat_hopf(p) -> Quaternion:
     Constructed as the rotation carrying (1,0,0) to p about the axis
     i x p.  The degenerate bases are pinned: (1,0,0) -> 1, (-1,0,0) -> j.
     """
-    x, y, z = require_sphere(p)
-    s = vector_norm((y, z))  # |(1,0,0) x p|
-    if s <= EPS_NORM:
-        return Quaternion(1.0, 0.0, 0.0, 0.0) if x > 0 else Quaternion(0.0, 0.0, 1.0, 0.0)
-    return Quaternion(*_quat_lift(x, y, z, s))
-
-
-def _quat_lift(x, y, z, s):
-    half = _acos(x) / 2.0
-    sn = each(math.sin, half)
-    return each(math.cos, half), sn * (0.0 / s), sn * (-z / s), sn * (y / s)
+    return Quaternion(*lift_quat_hopf_columns(*require_sphere(p)))
 
 
 def lift_quat_hopf_columns(x, y, z):
-    """lift_quat_hopf on point columns, pinned bases included."""
-    s = vector_norm((y, z))
-    pin = np.where(x > 0, 1.0, 0.0)  # 1 at (1,0,0), j at (-1,0,0)
-    pinned = (pin, 0.0, 1.0 - pin, 0.0)
-    return tuple(np.where(s <= EPS_NORM, a, b) for a, b in zip(pinned, _quat_lift(x, y, z, s)))
+    """lift_quat_hopf past its require_sphere, on coordinates that are
+    numbers or columns, pinned bases included."""
+    s = vector_norm((y, z))  # |(1,0,0) x p|
+    pinned = s <= EPS_NORM
+    s = where(pinned, 1.0, s)  # so that a pinned number never divides 0/0
+    pin = where(x > 0, 1.0, 0.0)  # 1 at (1,0,0), j at (-1,0,0)
+    half = _acos(x) / 2.0
+    sn = each(math.sin, half)
+    return (
+        where(pinned, pin, each(math.cos, half)),
+        where(pinned, 0.0, sn * (0.0 / s)),
+        where(pinned, 1.0 - pin, sn * (-z / s)),
+        where(pinned, 0.0, sn * (y / s)),
+    )
+
+
+def fiber_points(p, fq, fb):
+    """The preimages lift_quat_hopf(p) * e^{i fq} and fb * lift_bloch(p) of
+    a unit point p, as numbers or columns past require_sphere."""
+    hq = multiply(Quaternion(*lift_quat_hopf_columns(*p)), phase(fq))
+    return hq, to_complex_pair(Quaternion(*spherical_lift_columns(*p, 1))).scale(fb)
 
 
 def fiber_sample(variant: HopfVariant, base, count: int) -> list[ComplexPair]:
@@ -222,18 +227,18 @@ def fiber_columns(variant: HopfVariant, lift, m, count: int):
 
 
 class Forms(NamedTuple):
-    """A function's scalar form and its column form.  On rows of finite
-    values (for a lift, points unit to rounding), the column form gives
-    the bits of `scalar` wherever `scalar` returns, and is NaN or infinite
-    wherever it raises."""
+    """A function's scalar form and its column form (a lift's scalar form
+    is its column form behind require_sphere).  On rows of finite values
+    (for a lift, points unit to rounding), the column form gives the bits
+    of `scalar` wherever `scalar` returns, and is NaN or infinite wherever it raises."""
 
     scalar: Callable
     columns: Callable
 
 
 # the Hopf maps of a ComplexPair, on columns of (Re z, Im z, Re w, Im w);
-# the lifts of a unit point, on columns of (x, y, z) that are unit to
-# rounding (so the columns skip require_sphere, which they would pass)
+# the lifts of a unit point: each is its column form behind require_sphere,
+# run on columns of (x, y, z) that are unit to rounding, which it would pass
 MAPS = {
     HopfVariant.CLASSIC: Forms(hopf_classic, hopf_classic_columns),
     HopfVariant.QUAT: Forms(lambda v: quat_hopf(from_complex_pair(v)), quat_hopf_columns),

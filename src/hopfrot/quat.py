@@ -100,9 +100,11 @@ def each(f, *args):
 
 
 def where(cond, a, b):
-    """a if cond else b; a bool column picks complex columns row by row."""
+    """a if cond else b; a bool column picks real or complex columns row by row."""
     if type(cond) is not _COLUMN:
         return a if cond else b
+    if type(a) is not ComplexColumn and type(b) is not ComplexColumn:
+        return np.where(cond, a, b)
     return ComplexColumn(np.where(cond, a.real, b.real), np.where(cond, a.imag, b.imag))
 
 

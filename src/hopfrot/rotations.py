@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ZeroVector
-from .hopf import bloch, conjugate_action, lift_bloch, lift_quat_hopf, quat_hopf
+from .hopf import bloch, conjugate_action, fiber_points, quat_hopf
 from .quat import (
     EPS_NORM,
     ComplexPair,
@@ -23,13 +23,13 @@ from .quat import (
     each,
     from_complex_pair,
     multiply,
-    phase,
     require_unit,
     to_complex_pair,
     transpose,
     unit_norm,
     vector_norm,
 )
+from .sphere import require_sphere
 from .su2 import SU2Matrix, act_on_vector, quat_from_su2
 
 
@@ -106,8 +106,7 @@ def reconcile(aa: AxisAngle, p, fiber_q: float, fiber_b: complex) -> tuple[np.nd
     """
     if fiber_b == 0:
         raise ZeroVector("Bloch fiber scalar must be nonzero")
-    hq = multiply(lift_quat_hopf(p), phase(fiber_q))
-    hb = lift_bloch(p).scale(complex(fiber_b))
+    hq, hb = fiber_points(require_sphere(p), fiber_q, complex(fiber_b))
     return rotate_via_quat_hopf(aa, hq), rotate_via_bloch(aa, hb)
 
 

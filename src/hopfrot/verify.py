@@ -34,6 +34,7 @@ import functools
 import importlib.resources
 import json
 import math
+import operator
 import zlib
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, NamedTuple
@@ -41,14 +42,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import UnknownCheck
-from .hopf import (
-    bloch_columns,
-    hopf_classic_columns,
-    lift_quat_hopf_columns,
-    reverse,
-    sandwich,
-    spherical_lift_columns,
-)
+from .hopf import bloch_columns, fiber_points, hopf_classic_columns, reverse, sandwich
 from .quat import (
     I,
     ComplexColumn,
@@ -80,9 +74,11 @@ class DiagramCheck:
     def __post_init__(self):
         if self.name not in CHECKS:
             raise UnknownCheck(self.name)
-        for x in (self.samples, self.seed):  # what operator.index takes, but not a bool
+        for field in ("samples", "seed"):  # what operator.index takes, but not a bool
+            x = getattr(self, field)
             if isinstance(x, bool) or not hasattr(type(x), "__index__"):
                 raise ValueError(f"samples and seed must be integers, not {x!r}")
+            object.__setattr__(self, field, operator.index(x))  # a Python int, as JSON needs
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if not math.isfinite(self.tolerance) or self.tolerance <= 0:
@@ -301,13 +297,6 @@ def _stereo1_inv_mul_i(v: ComplexPair):
     return z, x, y
 
 
-def _fiber_points(p, fq, fb):
-    """The quaternion preimage lift_quat_hopf(p) * e^{i fq} and the Bloch
-    preimage fb * lift_bloch(p) of the points p."""
-    hq = multiply(Quaternion(*lift_quat_hopf_columns(*p)), phase(fq))
-    return hq, to_complex_pair(Quaternion(*spherical_lift_columns(*p, 1))).scale(fb)
-
-
 # ---------------------------------------------------------------------------
 # the catalog, name -> (check, samplers by sample name in draw order); a
 # check takes a block of samples' values in that order, as the samplers'
@@ -365,7 +354,7 @@ def _odot_lemma(q, h):
 
 def _reconcile(aa, p, fq, fb):
     g = gq(aa)
-    hq, hb = _fiber_points(p, fq, fb)
+    hq, hb = fiber_points(p, fq, fb)
     via_quat = sandwich(multiply(g, hq), I)
     via_bloch = bloch_columns(act_on_vector(gb(aa), hb))
     direct = sandwich(g, Quaternion(0.0, *p))  # rotate
@@ -388,7 +377,7 @@ def _final_diagram(aa, p, fq, fb):
     # g_B(theta, n) = g_Q(-theta, reverse n) and acts by matvec_as_quat,
     # where reconcile calls gb and act_on_vector
     g = gq(aa)
-    hq, hb = _fiber_points(p, fq, fb)
+    hq, hb = fiber_points(p, fq, fb)
     top = sandwich(multiply(g, hq), I)
     g_b = _su2(gq(_Rotations(-aa.theta, aa.axis[::-1])))
     bottom = bloch_columns(matvec_as_quat(g_b, hb))

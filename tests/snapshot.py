@@ -310,7 +310,7 @@ def edge_cases(n, seed=0):
 # -- the library's scalar calls ---------------------------------------------------
 
 # each function and the kinds of its arguments: the nine calls of the
-# scalar-calls benchmark (bench/workloads.py), then six more
+# scalar-calls benchmark (bench/workloads.py), then nine more
 LIBRARY = {
     "rotate": ("rotation", "point"),
     "gq": ("rotation",),
@@ -327,14 +327,19 @@ LIBRARY = {
     "project": ("pair",),
     "stereo1": ("point",),
     "stereo3": ("point",),
+    "reconcile": ("rotation", "point", "angle", "scalar"),
+    "rotate_via_quat_hopf": ("rotation", "quaternion"),
+    "fiber_sample": ("variant", "point", "count"),
 }
 LIBRARY_ROWS = 200  # seeded inputs of each kind, after the edge inputs
 
 
 def library_inputs(seed, n):
-    """Each kind's raw inputs (numbers, lists and tuples): the edge
-    inputs, then n seeded ones.  A rotation is (theta, axis), a quaternion
-    is scalar first and a pair is (Re z, Im z, Re w, Im w)."""
+    """Each kind's raw inputs (numbers, strings, lists and tuples): the
+    edge inputs, then n seeded ones.  A rotation is (theta, axis), a
+    quaternion is scalar first, a pair is (Re z, Im z, Re w, Im w), and a
+    fiber scalar is a number or [re, im]; the variants and counts of
+    fiber_sample repeat with coprime periods, 3 and 5."""
     rng = np.random.default_rng(seed)
     off = [1e-8, 1.0, math.nan, math.inf]  # off unit norm or not finite
     rotations = [
@@ -346,19 +351,41 @@ def library_inputs(seed, n):
     rotations += zip(rng.uniform(-7.0, 7.0, n).tolist(), unit_rows(rng, n, 3))
     s3 = S3 + [[x, 0.6, 0.0, 0.8] for x in off] + [[1e-170, 1e-170, 0.0, 0.0], [1e300, 0.0, 1e300, 0.0]]
     scales = np.exp(rng.uniform(-2.0, 2.0, n)).tolist()
-    return {
+    inputs = {
         "rotation": rotations,
         "quaternion": s3 + unit_rows(rng, n, 4),
         "pair": s3 + [[c * s for c in r] for r, s in zip(unit_rows(rng, n, 4), scales)],
         "point": SPHERE + [[0.0, 0.8, x] for x in off] + [[0, 0, 0]] + unit_rows(rng, n, 3),
     }
+    # reconcile's fiber choices: the first six meet valid rotations and unit
+    # points (three of them pinned bases of the quaternion lift), the last a
+    # valid rotation, to which only the zero check applies
+    angles = [math.nan, math.inf, math.pi, 1e300, 1e-300, -7.0, 2.0 * math.pi, -0.0, 0.0]
+    scalars = [[math.nan, 0.0], [math.inf, 0.0], 2, [0.0, -1.0], [1e300, 1e300], [1e-300, 0.0],
+               1.5, 0.0, -0.0, [0.0, 0.0], [-1.0, -0.0], 0]
+    magnitudes, phases = np.exp(rng.uniform(-2.0, 2.0, n)).tolist(), rng.uniform(0.0, 2.0 * math.pi, n)
+    scalars += [[m * math.cos(t), m * math.sin(t)] for m, t in zip(magnitudes, phases.tolist())]
+    rows = len(inputs["point"])
+    return {
+        **inputs,
+        "angle": angles + rng.uniform(0.0, 2.0 * math.pi, n).tolist(),
+        "scalar": scalars,
+        "variant": (VARIANTS * rows)[:rows],
+        "count": ([1, 2, 5, 0, -1] * rows)[:rows],
+    }
+
+
+def _plain(x):
+    """x with each ndarray, alone or in a tuple, as its list, which keeps every bit."""
+    if isinstance(x, tuple):
+        return tuple(map(_plain, x))
+    return x.tolist() if isinstance(x, np.ndarray) else x
 
 
 def library_report(seed=0, n=LIBRARY_ROWS) -> list[str]:
     """One line per call of each LIBRARY function on its inputs: the
-    function, its raw inputs and the repr of its result (an ndarray as its
-    list, which keeps every bit), or the exception it raised; then any
-    warning it gave."""
+    function, its raw inputs and the repr of its result (ndarrays as
+    lists), or the exception it raised; then any warning it gave."""
     import hopfrot  # here, after main() has put SRC_DIR on sys.path
 
     build = {
@@ -366,6 +393,10 @@ def library_report(seed=0, n=LIBRARY_ROWS) -> list[str]:
         "quaternion": lambda r: hopfrot.Quaternion(*r),
         "pair": lambda r: hopfrot.ComplexPair(complex(r[0], r[1]), complex(r[2], r[3])),
         "point": lambda r: r,
+        "angle": lambda r: r,
+        "scalar": lambda r: complex(*r) if isinstance(r, list) else r,
+        "variant": hopfrot.HopfVariant,
+        "count": lambda r: r,
     }
     inputs = library_inputs(seed, n)
     lines = ["## library"]
@@ -375,7 +406,7 @@ def library_report(seed=0, n=LIBRARY_ROWS) -> list[str]:
                 warnings.simplefilter("always")
                 try:
                     out = getattr(hopfrot, name)(*(build[k](r) for k, r in zip(kinds, raw)))
-                    shown = repr(out.tolist() if isinstance(out, np.ndarray) else out)
+                    shown = repr(_plain(out))
                 except Exception as e:
                     shown = f"raised {type(e).__name__}: {e}"
             lines.append(f"{name} {raw!r}: {shown}")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from goldens import CONVERT_IN, FIBER_IN, ROTATE_IN, check_golden, run_cli
+from snapshot import run_main
 
 
 def test_convert_golden():
@@ -161,6 +162,21 @@ class TestExitCodes:
         assert res.returncode == 2
         assert res.stdout == ""
         assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "args,stdin,message",
+        [
+            (["rotate"], '{"points": [[1, 0, 0]]}', "rotate needs axis_angle and points"),
+            (["rotate"], '{"axis_angle": {"theta": 1, "axis": [0, 0, 1]}, "points": {}}', "points must be a list"),
+            (["hopf", "--variant", "quat"], '{"inputs": {}}', "hopf needs an inputs list"),
+            (["lift", "--variant", "bloch"], '{"points": 5}', "lift needs a points list"),
+            (["fiber", "--variant", "quat", "--count", "2"], "{}", "fiber needs a base point"),
+            (["rotate"], '{"axis_angle": [1, 0, 0, 1], "points": []}', "axis_angle must be an object"),
+        ],
+        ids=["rotate-parts", "points-list", "hopf-inputs", "lift-points", "fiber-base", "axis-angle-object"],
+    )
+    def test_document_shape_errors_are_2(self, args, stdin, message):
+        assert run_main(args, stdin) == (2, "", f"error: {message}\n")
 
     def test_undecodable_input_is_2(self, tmp_path):
         f = tmp_path / "doc.json"

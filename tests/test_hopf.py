@@ -152,8 +152,14 @@ class TestLifts:
         assert c.z == pytest.approx(S) and c.w == pytest.approx(S)
 
     def test_lift_quat_hopf_values(self):
-        assert lift_quat_hopf((1, 0, 0)) == ONE
-        assert lift_quat_hopf((-1, 0, 0)) == J
+        # the bases, and the points with 0 < |(y, z)| <= EPS_NORM, are pinned
+        # to 1 and j, bit for bit (repr shows every zero's sign)
+        for p, want in [
+            ((1, 0, 0), ONE), ((-1, 0, 0), J), ((1.0, -0.0, 0.0), ONE), ((-1.0, 0.0, -0.0), J),
+            ((1.0, 1e-12, 0.0), ONE), ((-1.0, 0.0, 3e-10), J), ((1.0, -1e-9, 0.0), ONE),
+            ((-1.0, 6e-10, -8e-10), J), ((0.9999999999999999, 0.0, 1e-9), ONE),
+        ]:
+            assert repr(lift_quat_hopf(p)) == repr(want), p
 
     @pytest.mark.parametrize(
         "lift,mapper",
@@ -335,4 +341,4 @@ def test_column_acos_clamps_as_min_and_max(ts):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _acos(np.array(ts, dtype=np.float64)).tolist()
-    assert repr(got) == repr([_acos(t) for t in ts])
+    assert repr(got) == repr([math.acos(max(-1.0, min(1.0, t))) for t in ts])

@@ -6,7 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hopfrot import CATALOG, CheckReport, DiagramCheck, UnknownCheck, run_all, run_check, verify
+from hopfrot import (
+    CATALOG, CheckReport, DiagramCheck, UnknownCheck, axis_angle, reconcile, run_all, run_check, verify,
+)
 from hopfrot.hopf import MAPS, HopfVariant, hopf_classic
 from hopfrot.quat import ComplexPair, Quaternion, to_complex_pair
 from hopfrot.verify import subseed
@@ -53,6 +55,14 @@ def test_invalid_parameters_rejected(monkeypatch):
         with pytest.raises(ValueError):
             run_all(samples, seed, 1e-9)
     assert DiagramCheck("rephrase", np.int64(5), np.uint8(1), 1e-9).samples == 5
+
+
+def test_numpy_integers_give_a_json_report():
+    # samples and seed are kept as Python ints, which json serializes
+    check = DiagramCheck("odot-lemma", np.int64(5), np.uint8(1), 1e-9)
+    assert (type(check.samples), type(check.seed)) == (int, int)
+    (report,) = run_all(np.int64(5), 0, 1e-9, ["odot-lemma"])
+    assert json.loads(json.dumps(report.to_dict()))["samples"] == 5
 
 
 def test_run_check_deterministic():
@@ -121,6 +131,9 @@ def test_each_vector_norm_is_taken_once(monkeypatch):
     assert count(MAPS[HopfVariant.CLASSIC].columns, *np.array([unit, unit]).T) == 1
     assert count(checks["rephrase"][0], *draws["rephrase"]) == 4
     assert count(checks["template-bloch"][0], *draws["template-bloch"]) == 2
+    # p once, |(y, z)| in the quaternion lift, and the unit checks of hq and g hq
+    for p in [(0.48, 0.6, 0.64), (1.0, 0.0, 0.0)]:
+        assert count(reconcile, axis_angle(1.0, (0.6, 0.8, 0.0)), p, 0.3, 1 + 2j) == 4
 
 
 def test_unit_quat_sampler_is_exactly_rounded():
@@ -472,6 +485,25 @@ def test_draw_reads_more_words_when_the_spare_runs_short(monkeypatch, name):
         want = {key: verify_reference.SAMPLERS[s](b) for key, s in draws.items()}
         got = {key: verify._row(x, i) for key, x in zip(draws, columns)}
         assert json.dumps(got, default=verify.encode) == json.dumps(want, default=verify.encode), i
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_draw_reads_more_words_when_a_slow_normal_runs_past_them(monkeypatch):
+    # with no spare words one normal reads one word; a first word off the
+    # ziggurat's fast path needs the words after it, so _draw reads again
+    monkeypatch.setattr(verify, "_SPARE_WORDS", 0.0)
+    ki = verify._ziggurat()[0][0]
+
+    def slow(seed):
+        r = int(np.random.PCG64(seed).random_raw())
+        return ((r >> 9) & verify._RABS) >= ki[r & 0xFF]
+
+    seed = next(s for s in range(10_000) if slow(s))
+    a, b = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+    counted = _CountingGenerator(a)
+    (x,) = verify._draw({"x": verify.Sampler(1, (), lambda x: x)}, counted, 1)
+    assert counted.calls == 2
+    assert np.array_equal(_bits(x), _bits([b.standard_normal()]))
     assert a.bit_generator.state == b.bit_generator.state
 
 
