@@ -59,17 +59,42 @@ class ParseError(ValueError):
 # document decoding
 
 
-def _load_doc(path: str | None) -> dict:
+class _Pair(tuple):
+    """A decoded {"z": [a, b], "w": [c, d]} as the row (a, b, c, d) of the
+    decoded values themselves, unchecked."""
+
+    __slots__ = ()
+
+    def as_dict(self) -> dict:
+        return {"z": list(self[:2]), "w": list(self[2:])}
+
+
+def _pair_hook(items: list) -> dict | _Pair:
+    """json's object_pairs_hook for pair documents: an object with exactly
+    the keys z and w, each a list of 2, as a _Pair, else as its dict."""
+    d = dict(items)  # as json builds it: a repeated key keeps its last value
+    z, w = d.get("z"), d.get("w")
+    if len(d) == 2 and type(z) is list and type(w) is list and len(z) == 2 == len(w):
+        return _Pair((*z, *w))
+    return d
+
+
+def _load_doc(path: str | None, pairs: bool = False) -> dict:
+    """The input document.  With `pairs`, every object that is a complex
+    pair is decoded as a _Pair row, with no dict or lists kept per pair,
+    and a document that is itself one is turned back into its dict."""
     try:
         if path is None:
             text = sys.stdin.read()
         else:
             with open(path, "r", encoding="utf-8") as f:
                 text = f.read()
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_pair_hook if pairs else None)
     # ValueError: bad JSON, UTF-8 or int literal; RecursionError: too deeply nested
     except (OSError, ValueError, RecursionError) as e:
         raise ParseError(f"cannot read input document: {e}") from e
+    if type(doc) is _Pair:
+        doc = doc.as_dict()
     if not isinstance(doc, dict):
         raise ParseError("input document must be a JSON object")
     return doc
@@ -108,10 +133,10 @@ def _pair_of(x, what: str) -> ComplexPair:
     return ComplexPair(*(complex(*_reals(x[k], 2, f"{what}.{k}")) for k in "zw"))
 
 
-def _bulk(rows: list, width: int) -> np.ndarray | None:
-    """rows as an (N, width) float64 array when every row is a list of
+def _bulk(rows: list, width: int, kind: type = list) -> np.ndarray | None:
+    """rows as an (N, width) float64 array when every row is a `kind` of
     `width` finite numbers (no bools), else None."""
-    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}):
+    if not (set(map(type, rows)) <= {kind} and set(map(len, rows)) <= {width}):
         return None
     flat = list(chain.from_iterable(rows))
     if not set(map(type, flat)) <= {float, int}:
@@ -123,10 +148,10 @@ def _bulk(rows: list, width: int) -> np.ndarray | None:
     return arr if np.isfinite(arr).all() else None
 
 
-def _rows(items: list, width: int, row) -> np.ndarray:
-    """Decode rows of `width` numbers into an (N, width) float64 array; if
-    one is bad, `row` decodes each in turn, and the first bad one raises."""
-    arr = _bulk(items, width)
+def _rows(items: list, width: int, row, kind: type = list) -> np.ndarray:
+    """Decode rows, each a `kind` of `width` numbers, into an (N, width) float64
+    array; if one is bad, `row` decodes each in turn, and the first bad one raises."""
+    arr = _bulk(items, width, kind)
     if arr is None:  # some row is bad
         for x in items:
             row(x)
@@ -134,14 +159,10 @@ def _rows(items: list, width: int, row) -> np.ndarray:
 
 
 def _pair_rows(items: list, what: str) -> np.ndarray:
-    """Decode complex pairs into (N, 4) rows (Re z, Im z, Re w, Im w)."""
-    arr = None
-    if all(type(x) is dict and x.keys() == {"z", "w"} for x in items):
-        arr = _bulk([c for x in items for c in (x["z"], x["w"])], 2)
-    if arr is None:  # some pair is bad
-        for x in items:
-            _pair_of(x, what)
-    return arr.reshape(-1, 4)
+    """Decode complex pairs, as _load_doc(path, pairs=True) gives them, into
+    (N, 4) rows (Re z, Im z, Re w, Im w): _Pair rows in bulk; if one is
+    bad, _pair_of reports the first bad pair, a _Pair as its dict."""
+    return _rows(items, 4, lambda x: _pair_of(x.as_dict() if type(x) is _Pair else x, what), _Pair)
 
 
 def _renormalized(rows: np.ndarray, what: str) -> np.ndarray:
@@ -287,11 +308,11 @@ def _rotate_bloch_columns(g, x, y, z):
 
 
 def _cmd_hopf(args) -> int:
-    doc = _load_doc(args.infile)
+    variant = HopfVariant(args.variant)
+    doc = _load_doc(args.infile, variant is not HopfVariant.QUAT)
     _reject_unknown(doc, {"inputs"})
     if "inputs" not in doc or not isinstance(doc["inputs"], list):
         raise ParseError("hopf needs an inputs list")
-    variant = HopfVariant(args.variant)
     if variant is HopfVariant.QUAT:
         rows = _rows(doc.pop("inputs"), 4, lambda x: _reals(x, 4, "input quaternion"))
     else:

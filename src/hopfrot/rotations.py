@@ -106,6 +106,8 @@ def reconcile(aa: AxisAngle, p, fiber_q: float, fiber_b: complex) -> tuple[np.nd
     """
     if fiber_b == 0:
         raise ZeroVector("Bloch fiber scalar must be nonzero")
+    if not math.isfinite(fiber_q):
+        raise DomainError(f"fiber angle {fiber_q!r} is not finite")
     hq, hb = fiber_points(require_sphere(p), fiber_q, complex(fiber_b))
     return rotate_via_quat_hopf(aa, hq), rotate_via_bloch(aa, hb)
 

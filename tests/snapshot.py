@@ -304,7 +304,22 @@ def edge_cases(n, seed=0):
         (["verify", "--bogus"], ""),
         (["hopf"], "{}"),
     ]
-    return hand + [edge_case(rng) for _ in range(n)]
+    # after the seeded documents, so that those keep their labels
+    pairs = [(["hopf", "--variant", v], doc) for doc in PAIR_EDGES for v in ("classic", "bloch")]
+    return hand + [edge_case(rng) for _ in range(n)] + pairs
+
+
+# pair documents beyond what json.dumps writes: key order, repeated keys, a
+# document that is itself a pair, nested pairs, and bad values in a pair of
+# the plain shape; each row after a good one
+PAIR_EDGES = ['{"inputs": [{"z": [0.6, 0], "w": [0, 0.8]}, %s]}' % row for row in [
+    '{"w": [0, 0.8], "z": [0.6, 0]}', '{"w": [NaN, 0], "z": [true, 0]}',
+    '{"z": [NaN, 0], "z": [0.6, 0], "w": [0, 0.8]}', '{"z": [NaN, 0], "z": [1, 0], "w": [0, null]}',
+    '{"z": [1, 0], "w": [0, 0], "z": [NaN, 0]}', '{"z": [1, 0], "w": [0, 0], "x": 1}', '{"z": [1, 0]}',
+    '{"z": {"z": [1, 0], "w": [0, 0]}, "w": [0, 0]}', '{"z": [{"z": [1, 0], "w": [0, 0]}, 0], "w": [0, 0]}',
+    '{"z": [true, 0], "w": [0, 0]}', '{"z": [1, 0], "w": [null, 0]}', '{"z": [1, "0"], "w": [0, 0]}',
+    '{"z": [1, 0], "w": [0, 1%s]}' % ("0" * 399), '{"z": [1, 0], "w": [NaN, 0]}', '{"z": [1, 0], "w": [0, 0]}',
+]] + ['{"z": [1, 0], "w": [0, 0]}', '{"inputs": {"z": [1, 0], "w": [0, 0]}}', '{"inputs": []}']
 
 
 # -- the library's scalar calls ---------------------------------------------------

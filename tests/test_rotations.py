@@ -352,6 +352,16 @@ def test_reconcile_zero_fiber_rejected():
         reconcile(axis_angle(1.0, (1, 0, 0)), np.array([0.0, 0, 1]), 0.0, 0.0)
 
 
+@pytest.mark.parametrize("angle", [math.inf, -math.inf, NAN])
+def test_reconcile_rejects_a_non_finite_fiber_angle(angle):
+    # as AxisAngle rejects theta: not libm's bare math domain error, nor a
+    # NotUnit naming a quaternion the caller never gave
+    with pytest.raises(DomainError) as caught:
+        reconcile(axis_angle(1.0, (0, 0, 1)), (0.6, 0.8, 0.0), angle, 1.0)
+    assert type(caught.value) is DomainError
+    assert str(caught.value) == f"fiber angle {angle!r} is not finite"
+
+
 def test_to_axis_angle_round_trip():
     for _ in range(300):
         aa = random_axis_angle(RNG)
