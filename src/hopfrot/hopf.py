@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import operator
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -27,14 +28,13 @@ from .quat import (
     ComplexColumn,
     ComplexPair,
     Quaternion,
-    cmul,
     complex_of,
-    conjugate,
     each,
     embed_pure,
     from_complex_pair,
     multiply,
     phase,
+    require_finite,
     require_unit,
     to_complex_pair,
     unit_norm,
@@ -60,8 +60,9 @@ class HopfVariant(enum.Enum):
 
 
 def conjugate_action(g: Quaternion, p) -> np.ndarray:
-    """Rotate p in R^3 by the unit quaternion g: p -> g p g*.  A point
-    with a non-finite coordinate is a DomainError, as it is for bloch."""
+    """Rotate p in R^3 by the unit quaternion g: p -> g p g*, the numeric
+    core `sandwich` behind the unit guard.  A point with a non-finite
+    coordinate is a DomainError, as it is for bloch."""
     require_unit(g)
     q = embed_pure(p)
     if not (math.isfinite(q.x1) and math.isfinite(q.x2) and math.isfinite(q.x3)):
@@ -72,16 +73,28 @@ def conjugate_action(g: Quaternion, p) -> np.ndarray:
 def sandwich(g: Quaternion, p: Quaternion):
     """The vector part of g p g*, on components (floats or columns).
 
-    The scalar part vanishes identically for pure p; its rounding residue
-    is dropped.
+    The bits of multiply(multiply(g, p), conjugate(g)): the same operations
+    in the same order, on the eight components held in locals, with
+    conjugate(g) as (a0, -a1, -a2, -a3).  The scalar part, which vanishes
+    identically for pure p but for its rounding residue, is not computed.
     """
-    q = multiply(multiply(g, p), conjugate(g))
-    return q.x1, q.x2, q.x3
+    a0, a1, a2, a3 = g.x0, g.x1, g.x2, g.x3
+    b0, b1, b2, b3 = p.x0, p.x1, p.x2, p.x3
+    m0 = a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
+    m1 = a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
+    m2 = a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
+    m3 = a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
+    c1, c2, c3 = -a1, -a2, -a3
+    return (
+        m0 * c1 + m1 * a0 + m2 * c3 - m3 * c2,
+        m0 * c2 - m1 * c3 + m2 * a0 + m3 * c1,
+        m0 * c3 + m1 * c2 - m2 * c1 + m3 * a0,
+    )
 
 
 def quat_hopf(g: Quaternion) -> np.ndarray:
     """The quaternion Hopf map g -> g i g*, basepoint (1, 0, 0)."""
-    return conjugate_action(g, (1.0, 0.0, 0.0))
+    return np.array(sandwich(require_unit(g), I))
 
 
 def bloch(v: ComplexPair) -> np.ndarray:
@@ -147,10 +160,12 @@ def spherical_lift_columns(x, y, z, sign: int):
     phi = each(math.atan2, y, x)
     # cmath.exp(sign * 1j * phi) * sin(theta/2) as CPython 3.11 rounds it:
     # the exponent's real part is +-0.0, so its exp is exactly (cos, sin)
-    # of the imaginary part
-    _, angle = cmul(cmul((sign, 0.0), (0.0, 1.0)), (phi, 0.0))
-    e_phi = (each(math.cos, angle), each(math.sin, angle))
-    return (each(math.cos, half), 0.0, *cmul(e_phi, (each(math.sin, half), 0.0)))
+    # of the imaginary part; each product by a real factor (x, 0.0) is
+    # complex multiplication written out
+    si = sign * 1j  # (0.0, 1.0) or (-0.0, -1.0)
+    angle = si.real * 0.0 + si.imag * phi
+    c, s, sn = each(math.cos, angle), each(math.sin, angle), each(math.sin, half)
+    return each(math.cos, half), 0.0, c * sn - s * 0.0, c * 0.0 + s * sn
 
 
 def lift_bloch(p) -> ComplexPair:
@@ -185,8 +200,8 @@ def lift_quat_hopf_columns(x, y, z):
     numbers or columns, pinned bases included."""
     s = vector_norm((y, z))  # |(1,0,0) x p|
     pinned = s <= EPS_NORM
-    s = where(pinned, 1.0, s)  # so that a pinned number never divides 0/0
-    pin = where(x > 0, 1.0, 0.0)  # 1 at (1,0,0), j at (-1,0,0)
+    s = s + pinned  # s + 1.0 where pinned, so that a pinned number never divides 0/0
+    pin = 1.0 * (x > 0)  # 1 at (1,0,0), j at (-1,0,0)
     half = _acos(x) / 2.0
     sn = each(math.sin, half)
     return (
@@ -199,14 +214,18 @@ def lift_quat_hopf_columns(x, y, z):
 
 def fiber_points(p, fq, fb):
     """The preimages lift_quat_hopf(p) * e^{i fq} and fb * lift_bloch(p) of
-    a unit point p, as numbers or columns past require_sphere."""
-    hq = multiply(Quaternion(*lift_quat_hopf_columns(*p)), phase(fq))
+    a unit point p, as numbers or columns past require_sphere.  A
+    non-finite angle fq is a DomainError on numbers and NaN on columns."""
+    hq = multiply(Quaternion(*lift_quat_hopf_columns(*p)), phase(require_finite(fq, "fiber angle")))
     return hq, to_complex_pair(Quaternion(*spherical_lift_columns(*p, 1))).scale(fb)
 
 
 def fiber_sample(variant: HopfVariant, base, count: int) -> list[ComplexPair]:
     """`count` points of the fiber over `base`, evenly in phase: fiber_columns
     at m = 0 .. count - 1.  count = 1 returns exactly the canonical lift."""
+    if isinstance(count, bool) or not hasattr(type(count), "__index__"):  # what operator.index takes
+        raise ValueError(f"count must be an integer, not {count!r}")
+    count = operator.index(count)
     if count < 1:
         raise ValueError("count must be >= 1")
     v = fiber_columns(variant, LIFTS[variant].scalar(base), np.arange(count), count)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPure, NotUnit
+from .errors import DomainError, NotPure, NotUnit
 
 EPS_NORM = 1e-9
 
@@ -321,8 +321,17 @@ def unit_norm(n, what: str):
     return n
 
 
+def require_finite(t, what: str):
+    """t if it is finite, else DomainError naming `what`; on a column, NaN where not finite."""
+    if type(t) is _COLUMN:
+        return np.where(np.isfinite(t), t, np.nan)
+    if not math.isfinite(t):
+        raise DomainError(f"{what} {t!r} is not finite")
+    return t
+
+
 def require_unit(q: Quaternion) -> Quaternion:
-    unit_norm(norm(q), "quaternion")
+    unit_norm(vector_norm((q.x0, q.x1, q.x2, q.x3)), "quaternion")
     return q
 
 

@@ -23,6 +23,7 @@ from .quat import (
     each,
     from_complex_pair,
     multiply,
+    require_finite,
     require_unit,
     to_complex_pair,
     transpose,
@@ -106,8 +107,7 @@ def reconcile(aa: AxisAngle, p, fiber_q: float, fiber_b: complex) -> tuple[np.nd
     """
     if fiber_b == 0:
         raise ZeroVector("Bloch fiber scalar must be nonzero")
-    if not math.isfinite(fiber_q):
-        raise DomainError(f"fiber angle {fiber_q!r} is not finite")
+    require_finite(fiber_q, "fiber angle")
     hq, hb = fiber_points(require_sphere(p), fiber_q, complex(fiber_b))
     return rotate_via_quat_hopf(aa, hq), rotate_via_bloch(aa, hb)
 

@@ -111,7 +111,7 @@ def chart(p: ProjectivePoint) -> ExtendedComplex:
 
 def require_sphere(p) -> list[float]:
     """p as a list of floats, if its exactly rounded norm is within EPS_NORM of 1."""
-    p = np.asarray(p, dtype=np.float64).tolist()
+    p = list(map(float, p)) if type(p) in (list, tuple) else np.asarray(p, dtype=np.float64).tolist()
     if not abs(vector_norm(p) - 1.0) <= EPS_NORM:
         raise NotUnit(f"point {p} is not on the unit sphere")
     return p

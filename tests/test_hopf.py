@@ -15,6 +15,7 @@ from hopfrot import (
     Quaternion,
     ZeroVector,
     bloch,
+    conjugate,
     conjugate_action,
     fiber_sample,
     from_complex_pair,
@@ -29,8 +30,8 @@ from hopfrot import (
     to_complex_pair,
     transpose_map,
 )
-from hopfrot.hopf import LIFTS, MAPS, _acos
-from hopfrot.quat import J, K, ONE, vector_norm
+from hopfrot.hopf import LIFTS, MAPS, _acos, fiber_points, sandwich
+from hopfrot.quat import J, K, ONE, ComplexColumn, vector_norm
 from hopfrot.sphere import finite
 
 RNG = np.random.default_rng(11)
@@ -221,6 +222,17 @@ class TestFiberSample:
         with pytest.raises(ValueError):
             fiber_sample(HopfVariant.QUAT, (1, 0, 0), 0)
 
+    @pytest.mark.parametrize("count", [2.5, 3.0, True, False, "3", None])
+    def test_count_must_be_an_integer(self, count):
+        # 2.5 gave 3 points at phases 2 pi m / 2.5, and True acted as 1
+        with pytest.raises(ValueError, match="count must be an integer"):
+            fiber_sample(HopfVariant.QUAT, (0.6, 0.8, 0.0), count)
+
+    def test_count_takes_what_operator_index_takes(self):
+        p = (0.6, 0.8, 0.0)
+        for variant in HopfVariant:
+            assert fiber_sample(variant, p, np.int64(3)) == fiber_sample(variant, p, 3)
+
     def test_off_sphere_base_rejected(self):
         with pytest.raises(NotUnit):
             fiber_sample(HopfVariant.QUAT, (1, 1, 0), 3)
@@ -253,6 +265,56 @@ class TestDiagrams:
             np.testing.assert_allclose(
                 quat_hopf(multiply(g, phase)), quat_hopf(g), atol=1e-9
             )
+
+
+SANDWICH_PARTS = st.one_of(
+    st.floats(), st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan])
+)
+
+
+def sandwich_by_products(g, p):
+    q = multiply(multiply(g, p), conjugate(g))
+    return q.x1, q.x2, q.x3
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(*[SANDWICH_PARTS] * 8), min_size=1, max_size=12))
+def test_sandwich_has_the_bits_of_two_products(rows):
+    # on numbers and, row by row, on columns: the vector part of
+    # multiply(multiply(g, p), conjugate(g)), signed zeros, infinities and
+    # NaN included; the CLI rotates columns by one scalar g
+    want = [sandwich_by_products(Quaternion(*r[:4]), Quaternion(*r[4:])) for r in rows]
+    assert repr([sandwich(Quaternion(*r[:4]), Quaternion(*r[4:])) for r in rows]) == repr(want)
+    cols = np.array(rows, dtype=np.float64).T
+    with np.errstate(all="ignore"):
+        got = np.column_stack(sandwich(Quaternion(*cols[:4]), Quaternion(*cols[4:]))).tolist()
+        by_one_g = np.column_stack(sandwich(Quaternion(*rows[0][:4]), Quaternion(*cols[4:]))).tolist()
+    assert repr(got) == repr([list(w) for w in want])
+    g = Quaternion(*rows[0][:4])
+    assert repr(by_one_g) == repr([list(sandwich_by_products(g, Quaternion(*r[4:]))) for r in rows])
+
+
+@pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+def test_fiber_points_rejects_a_non_finite_angle_on_numbers(angle):
+    # a NaN angle gave a NaN quaternion, and inf libm's bare math domain error
+    with pytest.raises(DomainError) as caught:
+        fiber_points((0.6, 0.8, 0.0), angle, 1.0)
+    assert type(caught.value) is DomainError
+    assert str(caught.value) == f"fiber angle {angle!r} is not finite"
+
+
+def test_fiber_points_hand_back_a_non_finite_angle_by_nan():
+    angles = [0.3, math.inf, -math.inf, math.nan, -7.0]
+    p = np.array([[0.6, 0.8, 0.0]] * len(angles)).T
+    hq, hb = fiber_points(p, np.array(angles), ComplexColumn(np.ones(5), np.zeros(5)))
+    rows = np.column_stack([hq.x0, hq.x1, hq.x2, hq.x3]).tolist()
+    for t, row in zip(angles, rows):
+        if math.isfinite(t):
+            hq_t, _ = fiber_points([0.6, 0.8, 0.0], t, 1.0 + 0j)
+            assert repr(row) == repr([hq_t.x0, hq_t.x1, hq_t.x2, hq_t.x3])
+        else:
+            assert all(map(math.isnan, row))
+    assert hb.z.real.tolist() == [hb.z.real[0]] * 5  # the Bloch preimage takes no angle
 
 
 def map_rows():
