@@ -6,12 +6,13 @@ failure, 2 usage/parse error, 3 domain error.  Angles are radians unless
 --degrees is given; the axis may be off unit norm by up to 1e-6 and is
 renormalized with a warning (the library itself stays strict).
 
-rotate, hopf, lift and fiber evaluate their rows (for fiber, its phases)
-on float64 columns by the library's column forms, branches included.  A
-column form is not finite only where the scalar function raises or its
-result overflows, and the first such row ends the command with the scalar
-call's error.  Output, warnings and errors are the scalar calls', byte
-for byte.
+rotate, hopf and lift read their rows a 64 KB slice at a time (_scan),
+or else by json.loads and row by row, so the first bad row reports its
+error; they and fiber evaluate (by the column forms, branches included),
+renormalize and write rows 2048 at a time.  A column form is not finite
+only where the scalar function raises or its result overflows; the first
+such row ends the command with the scalar call's error.  Output, warnings
+and errors are the scalar calls', byte for byte.
 """
 
 from __future__ import annotations
@@ -21,7 +22,9 @@ import json
 import math
 import sys
 from dataclasses import astuple
+from functools import partial
 from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -42,7 +45,7 @@ from .verify import CATALOG, encode, run_all
 
 RENORM_BAND = 1e-6
 
-# rows per json.dumps call, and fiber points per column evaluation
+# rows per column evaluation, renormalization and write
 _BLOCK = 2048
 
 EXIT_OK = 0
@@ -59,45 +62,71 @@ class ParseError(ValueError):
 # document decoding
 
 
-class _Pair(tuple):
-    """A decoded {"z": [a, b], "w": [c, d]} as the row (a, b, c, d) of the
-    decoded values themselves, unchecked."""
-
-    __slots__ = ()
-
-    def as_dict(self) -> dict:
-        return {"z": list(self[:2]), "w": list(self[2:])}
-
-
-def _pair_hook(items: list) -> dict | _Pair:
-    """json's object_pairs_hook for pair documents: an object with exactly
-    the keys z and w, each a list of 2, as a _Pair, else as its dict."""
-    d = dict(items)  # as json builds it: a repeated key keeps its last value
-    z, w = d.get("z"), d.get("w")
-    if len(d) == 2 and type(z) is list and type(w) is list and len(z) == 2 == len(w):
-        return _Pair((*z, *w))
-    return d
-
-
-def _load_doc(path: str | None, pairs: bool = False) -> dict:
-    """The input document.  With `pairs`, every object that is a complex
-    pair is decoded as a _Pair row, with no dict or lists kept per pair,
-    and a document that is itself one is turned back into its dict."""
+def _load_doc(path: str | None, width: int = 0, pairs: bool = False) -> dict:
+    """The input document.  With `width`, _scan reads it where it can,
+    with each list of rows of that width as an array; else json.loads."""
     try:
         if path is None:
             text = sys.stdin.read()
         else:
             with open(path, "r", encoding="utf-8") as f:
                 text = f.read()
-        doc = json.loads(text, object_pairs_hook=_pair_hook if pairs else None)
+        doc = _scan(text, width, pairs) if width else None
+        if doc is None:
+            doc = json.loads(text)
     # ValueError: bad JSON, UTF-8 or int literal; RecursionError: too deeply nested
     except (OSError, ValueError, RecursionError) as e:
         raise ParseError(f"cannot read input document: {e}") from e
-    if type(doc) is _Pair:
-        doc = doc.as_dict()
     if not isinstance(doc, dict):
         raise ParseError("input document must be a JSON object")
     return doc
+
+
+_SLICE = 1 << 16  # characters of rows per json.loads call
+_ws = json.decoder.WHITESPACE.match
+_scan_once = json.decoder.JSONDecoder().scan_once
+
+
+def _scan(text: str, width: int, pairs: bool) -> dict | None:
+    """The JSON object `text` as json's own object parser decodes it, but
+    with each list value as an array (_scan_value); None, for json.loads
+    and the row-by-row path to decode and report, if `text` is not an
+    object, a key repeats, a list holds a bad row or it does not parse."""
+    pos = _ws(text).end()
+    if not text.startswith("{", pos):
+        return None
+    try:
+        scan = partial(_scan_value, width=width, pairs=pairs)
+        items, end = json.decoder.JSONObject((text, pos + 1), True, scan, None, list)
+    except (ValueError, RecursionError):  # json.loads reports it
+        return None
+    doc = dict(items)
+    return doc if len(doc) == len(items) and _ws(text, end).end() == len(text) else None
+
+
+def _scan_value(text: str, pos: int, width: int, pairs: bool) -> tuple:
+    """The value at text[pos:] and the index after it, as json's scanner
+    gives them, but a list as the array of its rows, read by _bulk from
+    slices of about _SLICE characters that end at a row's closing bracket
+    and a comma, then from the rest of the list.  A slice that parses
+    starts and ends at row bounds.  ValueError if _bulk rejects a row."""
+    if not text.startswith("[", pos):
+        return _scan_once(text, pos)
+    blocks, end, pos = [], None, pos + 1
+    while end is None:
+        cut = text.find("}" if pairs else "]", pos + _SLICE) + 1
+        after = _ws(text, cut).end()
+        try:
+            if not (cut and text.startswith(",", after)):
+                raise ValueError("no row ends a slice before the list does")
+            rows, pos = json.loads("[" + text[pos:cut] + "]"), after + 1
+        except ValueError:  # the rest of the list
+            rows, end = _scan_once("[" + text[pos:], 0)
+            end += pos - 1
+        blocks.append(_bulk(rows, width, pairs))
+        if blocks[-1] is None:
+            raise ValueError("a bad row")
+    return np.concatenate(blocks), end
 
 
 def _reject_unknown(doc: dict, allowed: set[str]) -> None:
@@ -133,10 +162,15 @@ def _pair_of(x, what: str) -> ComplexPair:
     return ComplexPair(*(complex(*_reals(x[k], 2, f"{what}.{k}")) for k in "zw"))
 
 
-def _bulk(rows: list, width: int, kind: type = list) -> np.ndarray | None:
-    """rows as an (N, width) float64 array when every row is a `kind` of
-    `width` finite numbers (no bools), else None."""
-    if not (set(map(type, rows)) <= {kind} and set(map(len, rows)) <= {width}):
+def _bulk(rows: list, width: int, pairs: bool = False) -> np.ndarray | None:
+    """rows as an (N, width) float64 array when every row is a list of
+    `width` finite numbers (no bools), or with `pairs` an object with just
+    the keys z and w, each a list of width / 2, as the row z + w; else None."""
+    if pairs:  # as the rows z and w
+        if not (set(map(type, rows)) <= {dict} and set(map(tuple, rows)) <= {("z", "w"), ("w", "z")}):
+            return None
+        rows = list(chain.from_iterable(map(itemgetter("z", "w"), rows)))
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width // 2 if pairs else width}):
         return None
     flat = list(chain.from_iterable(rows))
     if not set(map(type, flat)) <= {float, int}:
@@ -148,36 +182,31 @@ def _bulk(rows: list, width: int, kind: type = list) -> np.ndarray | None:
     return arr if np.isfinite(arr).all() else None
 
 
-def _rows(items: list, width: int, row, kind: type = list) -> np.ndarray:
-    """Decode rows, each a `kind` of `width` numbers, into an (N, width) float64
-    array; if one is bad, `row` decodes each in turn, and the first bad one raises."""
-    arr = _bulk(items, width, kind)
+def _rows(items: list | np.ndarray, width: int, row, pairs: bool = False) -> np.ndarray:
+    """Rows as _load_doc read them, or decoded by _bulk; if one is bad,
+    `row` decodes each in turn, and the first bad one raises."""
+    arr = items if type(items) is np.ndarray else _bulk(items, width, pairs)
     if arr is None:  # some row is bad
         for x in items:
             row(x)
     return arr
 
 
-def _pair_rows(items: list, what: str) -> np.ndarray:
-    """Decode complex pairs, as _load_doc(path, pairs=True) gives them, into
-    (N, 4) rows (Re z, Im z, Re w, Im w): _Pair rows in bulk; if one is
-    bad, _pair_of reports the first bad pair, a _Pair as its dict."""
-    return _rows(items, 4, lambda x: _pair_of(x.as_dict() if type(x) is _Pair else x, what), _Pair)
-
-
 def _renormalized(rows: np.ndarray, what: str) -> np.ndarray:
-    """Scale to unit norm the rows within RENORM_BAND of it, each with a
-    warning, in order; a row further off is a domain error."""
-    norms = vector_norm(rows.T)
-    warnings = []  # written at once: stderr is line buffered
-    for n in norms.tolist():
-        if n == 0.0 or abs(n - 1.0) > RENORM_BAND:
-            sys.stderr.write("".join(warnings))
-            raise DomainError(f"{what} norm {n!r} is outside the renormalization band")
-        if n != 1.0:
-            warnings.append(f"warning: renormalizing {what} (norm {n!r})\n")
-    sys.stderr.write("".join(warnings))
-    return rows / norms.reshape(-1, 1)
+    """Scale to unit norm, in place, the rows within RENORM_BAND of it,
+    each with a warning, in order; a row further off is a domain error."""
+    for block in (rows[start : start + _BLOCK] for start in range(0, len(rows), _BLOCK)):
+        norms = vector_norm(block.T)
+        warnings = []  # written a block at once: stderr is line buffered
+        for n in norms.tolist():
+            if n == 0.0 or abs(n - 1.0) > RENORM_BAND:
+                sys.stderr.write("".join(warnings))
+                raise DomainError(f"{what} norm {n!r} is outside the renormalization band")
+            if n != 1.0:
+                warnings.append(f"warning: renormalizing {what} (norm {n!r})\n")
+        sys.stderr.write("".join(warnings))
+        block /= norms.reshape(-1, 1)
+    return rows
 
 
 def _unit(values: list[float], what: str) -> list[float]:
@@ -200,8 +229,9 @@ def _axis_angle_of(x, degrees: bool) -> AxisAngle:
 # batch evaluation and document encoding
 
 
-def _evaluate(rows: np.ndarray, columns, scalar) -> np.ndarray:
-    """A map evaluated on every row of an (N, k) array by its column form.
+def _evaluate(rows: np.ndarray, columns, scalar) -> list[np.ndarray]:
+    """A map evaluated on every row of an (N, k) array by its column form,
+    as the list of its results on each block of _BLOCK rows.
 
     `columns` gives the bits of `scalar`, the map's scalar function of one
     row, wherever `scalar` returns, and NaN or infinity where it raises
@@ -209,33 +239,35 @@ def _evaluate(rows: np.ndarray, columns, scalar) -> np.ndarray:
     error: `scalar` is called on it only to raise its own; if it returns,
     the result has overflowed, a domain error naming the row.
     """
+    outs = []
     with np.errstate(all="ignore"):
-        out = np.column_stack(np.broadcast_arrays(*columns(*rows.T)))
-        bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
-        if len(bad):
-            row = rows[bad[0]].tolist()
-            scalar(row)
-            raise DomainError(f"row {bad[0]} {row}: the result overflows the float range")
-    return out
+        for start in range(0, len(rows), _BLOCK):
+            out = np.column_stack(np.broadcast_arrays(*columns(*rows[start : start + _BLOCK].T)))
+            bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+            if len(bad):
+                row = rows[start + bad[0]].tolist()
+                scalar(row)
+                raise DomainError(f"row {start + bad[0]} {row}: the result overflows the float range")
+            outs.append(out)
+    return outs
 
 
 def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True, default=encode, allow_nan=False) + "\n")
 
 
-def _emit_rows(key: str, arrays, pairs=False, rest=dict) -> None:
-    """Write {key: the rows of `arrays`, **rest()} as _emit would, a block
-    of rows per C encoder call; with `pairs`, row r as {"z": r[:2], "w":
-    r[2:]}; `rest()`, called last, gives the keys that sort after `key`."""
+def _emit_rows(key: str, blocks, pairs=False, rest=dict) -> None:
+    """Write {key: the rows of `blocks`, **rest()} as _emit would, a block
+    at a time, by one format string of float reprs, which is how json
+    writes finite floats; with `pairs`, row r as {"w": r[2:], "z": r[:2]};
+    `rest()`, called last, gives the keys that sort after `key`."""
     sys.stdout.write("{%s: [" % json.dumps(key))
-    sep = ""
-    for out in arrays:
-        for start in range(0, len(out), _BLOCK):
-            block = out[start : start + _BLOCK].tolist()
-            if pairs:
-                block = [{"z": r[:2], "w": r[2:]} for r in block]
-            sys.stdout.write(sep + json.dumps(block, sort_keys=True, allow_nan=False)[1:-1])
-            sep = ", "
+    for i, block in enumerate(blocks):
+        if not np.isfinite(block).all():  # as json.dumps(..., allow_nan=False) raises
+            raise ValueError("Out of range float values are not JSON compliant")
+        row = '{"w": [%r, %r], "z": [%r, %r]}' if pairs else "[%s]" % ", ".join(["%r"] * block.shape[1])
+        values = block[:, [2, 3, 0, 1]] if pairs else block
+        sys.stdout.write(", " * (i > 0) + ", ".join([row] * len(block)) % tuple(values.ravel().tolist()))
     tail = json.dumps(rest(), sort_keys=True, allow_nan=False)[1:-1]
     sys.stdout.write("]" + (", " + tail if tail else "") + "}\n")
 
@@ -272,12 +304,12 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_rotate(args) -> int:
-    doc = _load_doc(args.infile)
+    doc = _load_doc(args.infile, 3)
     _reject_unknown(doc, {"axis_angle", "points"})
     if "axis_angle" not in doc or "points" not in doc:
         raise ParseError("rotate needs axis_angle and points")
     aa = _axis_angle_of(doc["axis_angle"], args.degrees)
-    if not isinstance(doc["points"], list):
+    if not isinstance(doc["points"], (list, np.ndarray)):
         raise ParseError("points must be a list")
     points = _rows(doc.pop("points"), 3, lambda x: _reals(x, 3, "point"))
     if args.convention == "bloch":
@@ -289,7 +321,7 @@ def _cmd_rotate(args) -> int:
             points, lambda *p: sandwich(require_unit(g), Quaternion(0.0, *p)),
             lambda p: rotate(aa, p),
         )
-    _emit_rows("points", [out])
+    _emit_rows("points", out)
     return EXIT_OK
 
 
@@ -309,36 +341,33 @@ def _rotate_bloch_columns(g, x, y, z):
 
 def _cmd_hopf(args) -> int:
     variant = HopfVariant(args.variant)
-    doc = _load_doc(args.infile, variant is not HopfVariant.QUAT)
+    pairs = variant is not HopfVariant.QUAT
+    doc = _load_doc(args.infile, 4, pairs)
     _reject_unknown(doc, {"inputs"})
-    if "inputs" not in doc or not isinstance(doc["inputs"], list):
+    if "inputs" not in doc or not isinstance(doc["inputs"], (list, np.ndarray)):
         raise ParseError("hopf needs an inputs list")
-    if variant is HopfVariant.QUAT:
-        rows = _rows(doc.pop("inputs"), 4, lambda x: _reals(x, 4, "input quaternion"))
-    else:
-        rows = _pair_rows(doc.pop("inputs"), "input pair")
-    _emit_rows("points", [_hopf_rows(variant, rows)])
+    row = (lambda x: _pair_of(x, "input pair")) if pairs else (lambda x: _reals(x, 4, "input quaternion"))
+    _emit_rows("points", _hopf_rows(variant, _rows(doc.pop("inputs"), 4, row, pairs)))
     return EXIT_OK
 
 
-def _hopf_rows(variant: HopfVariant, rows: np.ndarray) -> np.ndarray:
+def _hopf_rows(variant: HopfVariant, rows: np.ndarray) -> list[np.ndarray]:
     """The Hopf map on rows (Re z, Im z, Re w, Im w), quaternion or pair."""
     hopf = MAPS[variant]
     return _evaluate(rows, hopf.columns, lambda r: hopf.scalar(to_complex_pair(Quaternion(*r))))
 
 
 def _cmd_lift(args) -> int:
-    doc = _load_doc(args.infile)
+    doc = _load_doc(args.infile, 3)
     _reject_unknown(doc, {"points"})
-    if "points" not in doc or not isinstance(doc["points"], list):
+    if "points" not in doc or not isinstance(doc["points"], (list, np.ndarray)):
         raise ParseError("lift needs a points list")
     variant = HopfVariant(args.variant)
     # the fallback renormalizes each row too, so warnings keep input order
     points = _rows(doc.pop("points"), 3, lambda x: _unit(_reals(x, 3, "point"), "point"))
     points = _renormalized(points, "point")
     lift = LIFTS[variant]
-    out = _evaluate(points, lift.columns, lift.scalar)
-    _emit_rows("lifts", [out], variant is not HopfVariant.QUAT)
+    _emit_rows("lifts", _evaluate(points, lift.columns, lift.scalar), variant is not HopfVariant.QUAT)
     return EXIT_OK
 
 
@@ -360,7 +389,7 @@ def _cmd_fiber(args) -> int:
             m = np.arange(start, min(start + _BLOCK, args.count))
             v = fiber_columns(variant, lift, m, args.count)
             rows = np.column_stack((v.z.real, v.z.imag, v.w.real, v.w.imag))
-            errors = _hopf_rows(variant, rows) - base
+            errors = np.concatenate(_hopf_rows(variant, rows)) - base
             max_err = max(max_err, vector_norm(errors.T).max().item())
             yield rows
 

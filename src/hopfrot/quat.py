@@ -233,18 +233,18 @@ def vector_norm(v):
 
     On a sequence of float64 columns, the column of the norms of its rows,
     each with the bits of that row's norm, computed on whole columns with
-    real + - * /, comparisons, nextafter and sqrt, which IEEE 754 rounds
-    correctly on every platform.  Each row's squares x*x are rounded as
-    above; two passes of the TwoSum cascade (VecSum, Ogita, Rump and Oishi,
-    "Accurate sum and dot product", 2005) turn them into a leading term L
-    and residuals r, with L + sum(r) the exact sum S of the squares.  The
-    residuals are summed left to right into R; each of those k - 1
-    additions errs by at most half a unit in the last place of its
-    result, at most u = 2^-53 times it, so |S - (L + R)| <= B =
-    2^(k-2) u max|partial sum| for k >= 2 residuals (k - 1 <= 2^(k-2),
-    and a power of two keeps B exact).  One last TwoSum gives
-    t = fl(L + R) and the exact e = L + R - t.  The row is accepted, and
-    its sum of squares is t, in one of two ways:
+    real + - * /, comparisons and sqrt, which IEEE 754 rounds correctly on
+    every platform, and a float's neighbours read off its bits.  Each row's
+    squares x*x are rounded as above; two passes of the TwoSum cascade
+    (VecSum, Ogita, Rump and Oishi, "Accurate sum and dot product", 2005)
+    turn them into a leading term L and residuals r, with L + sum(r) the
+    exact sum S of the squares.  The residuals are summed left to right
+    into R; each of those k - 1 additions errs by at most half a unit in
+    the last place of its result, at most u = 2^-53 times it, so
+    |S - (L + R)| <= B = 2^(k-2) u max|partial sum| for k >= 2 residuals
+    (k - 1 <= 2^(k-2), and a power of two keeps B exact).  One last
+    TwoSum gives t = fl(L + R) and the exact e = L + R - t.  The row is
+    accepted, and its sum of squares is t, in one of two ways:
 
     - exact: at most one residual is nonzero, so R is exact, S = L + R,
       and t is S rounded once, ties to even, as fsum rounds it;
@@ -271,19 +271,20 @@ def vector_norm(v):
             for i in range(1, len(p)):
                 p[i], p[i - 1] = _two_sum(p[i], p[i - 1])
         lead, r = p[-1], p[:-1]
-        R, big = r[0], 0.0
+        R, big, nonzero = r[0], 0.0, (r[0] != 0.0).view(np.int8)
         for x in r[1:]:
             R = R + x
             big = np.maximum(big, abs(R))
+            nonzero = nonzero + (x != 0.0)  # int8 + bool adds; bool + bool would be or
         t, e = _two_sum(lead, R)
         bound = 2.0 ** (len(r) - 2) * _U * big
-        h_up = (np.nextafter(t, np.inf) - t) * 0.5
-        h_down = (t - np.nextafter(t, 0.0)) * 0.5
-        exact = np.count_nonzero(r, axis=0) <= 1
-        proved = exact | ((e + bound < h_up) & (e - bound > -h_down))
-        for c in v:
-            a = abs(c)
-            proved &= (a == 0.0) | ((a >= _SMALL) & (a <= _BIG))
+        # t's neighbours by its bits: nextafter's wherever the test can pass
+        bits = t.view(np.int64)
+        h_up = ((bits + 1).view(np.float64) - t) * 0.5
+        h_down = (t - (bits - 1).view(np.float64)) * 0.5
+        proved = (nonzero <= 1) | ((e + bound < h_up) & (e - bound > -h_down))
+        a = np.abs(v)
+        proved &= ((a <= _BIG) & ((a >= _SMALL) | (a == 0.0))).all(axis=0)
         n = np.sqrt(t)
     rest = ~proved
     if rest.any():

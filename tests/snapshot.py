@@ -8,6 +8,9 @@ imports hopfrot from SRC_DIR and runs `hopfrot.cli.main` in process on
 - the cli-batch benchmark documents (seeds 1-3, --points rows each);
 - a seeded corpus of malformed and edge documents for all six
   subcommands (--edge documents);
+- fixed documents that the CLI's slice scan of row lists must hand to
+  json.loads, and documents of three and four slices, each read from
+  stdin and from a file (--in);
 - `fiber --count 2049`, one point more than a block, for each variant
   over fixed bases;
 - `verify` over the whole catalog at --samples samples: seeds 0, 1 and 7;
@@ -35,8 +38,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -51,12 +56,22 @@ CHECKS = [
 VARIANTS = ["classic", "quat", "bloch"]
 
 
+FILE = "FILE"  # in argv, a temporary file that holds the stdin text instead
+
+
 def run_main(argv, stdin, pole_guard=None, max_block=None):
     """cli.main in process: (exit code, stdout, stderr); `pole_guard` and
     `max_block`, if given, stand in for the harness's pole guard and its
-    largest block during the call."""
+    largest block during the call.  With FILE in argv, the text is read
+    from a file of that name instead of stdin."""
     from hopfrot import cli, verify  # here, after main() has put SRC_DIR on sys.path
 
+    if FILE in argv:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "doc.json")
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(stdin)
+            return run_main([path if a == FILE else a for a in argv], "", pole_guard, max_block)
     saved = sys.stdin, sys.stdout, sys.stderr, verify._POLE_GUARD, verify._MAX_BLOCK
     sys.stdin, sys.stdout, sys.stderr = io.StringIO(stdin), io.StringIO(), io.StringIO()
     if pole_guard is not None:
@@ -322,6 +337,107 @@ PAIR_EDGES = ['{"inputs": [{"z": [0.6, 0], "w": [0, 0.8]}, %s]}' % row for row i
 ]] + ['{"z": [1, 0], "w": [0, 0]}', '{"inputs": {"z": [1, 0], "w": [0, 0]}}', '{"inputs": []}']
 
 
+# -- documents for the slice scan of row lists -------------------------------------
+
+SLICE = 1 << 16  # the CLI's slice of row text, so that the cuts below fall where named
+AXIS = '{"theta": 1, "axis": [0, 0, 1]}'
+ROTATE = '{"axis_angle": %s, "points": [%%s]}' % AXIS
+PAIR = '{"z": [0.6, 0], "w": [0, 0.8]}'
+
+# valid and bad documents that the scan hands to json.loads, or reads
+# itself in an unusual form: repeated, escaped and first or last row keys,
+# JSON whitespace, empty lists, rows that are strings holding a row's
+# closing bracket, nested lists, objects, true, NaN and 400-digit
+# integers, and trailing data
+SCAN_EDGES = [
+    (["rotate"], '{"axis_angle": %s, "points": [[1, 0, 0]], "points": [[0, 1, 0]]}' % AXIS),
+    (["hopf", "--variant", "quat"], '{"inputs": [[1, 0, 0, 0]], "inputs": [[0, 0, 1, 0]]}'),
+    (["hopf", "--variant", "classic"], '{"inputs": [true], "inputs": [%s]}' % PAIR),
+    (["hopf", "--variant", "bloch"], '{"inputs": [%s], "inputs": [{"z": [NaN, 0], "w": [0, 0]}]}' % PAIR),
+    (["lift", "--variant", "bloch"], '{"\\u0070oints": [[0.6, 0.8, 0]]}'),
+    (["rotate", "--convention", "bloch"], '{"axis_angle": %s, "p\\u006fints": [[1, 0, 0]]}' % AXIS),
+    (["hopf", "--variant", "quat"], '{"inp\\u0075ts": [[1, 0, 0, 0]], "x": 1}'),
+    (["lift", "--variant", "classic"], '\r\n\t{\r\n\t"points"\t:\r\n\t[\t[0.6,\r\n0.8,\t0]\r\n,\n\t[0,\t0,\r1]\t]\r\n}\r\n\t'),
+    (["hopf", "--variant", "bloch"], '{\r\n"inputs":\t[\r\n%s\t,\r\n{"w": [1, 0],\n"z": [0, 0]}\n]\r}' % PAIR),
+    (["rotate", "--convention", "bloch"], '{"points": [[1, 0, 0], [0, 0.6, 0.8]], "axis_angle": %s}' % AXIS),
+    (["rotate", "--convention", "bloch"], ROTATE % "[1, 0, 0], [0, 0.6, 0.8]"),
+    (["rotate"], ROTATE % ""),
+    (["hopf", "--variant", "quat"], '{"inputs": []}'),
+    (["hopf", "--variant", "classic"], '{"inputs": [\n]}'),
+    (["lift", "--variant", "quat"], '{"points": [ ]}'),
+    (["rotate"], ROTATE % '[1, 0, 0], "]", [0, 1, 0]'),
+    (["lift", "--variant", "bloch"], '{"points": [[1, "]", 0]]}'),
+    (["hopf", "--variant", "classic"], '{"inputs": [%s, "}", %s]}' % (PAIR, PAIR)),
+    (["hopf", "--variant", "bloch"], '{"inputs": [{"z": [1, 0], "w": [0, 0], "}": 1}]}'),
+    (["lift", "--variant", "quat"], '{"points": [[0.6, 0.8, 0], [1, [0], 0]]}'),
+    (["rotate"], ROTATE % '[1, 0, 0], {"x": [1, 0, 0]}'),
+    (["hopf", "--variant", "quat"], '{"inputs": [[1, 0, 0, 0], true]}'),
+    (["hopf", "--variant", "quat"], '{"inputs": [[1, true, 0, 0]]}'),
+    (["lift", "--variant", "bloch"], '{"points": [[0.6, 0.8, 0], [NaN, 0, 1]]}'),
+    (["rotate"], ROTATE % ("[1, 0, 1%s]" % ("0" * 399))),
+    (["hopf", "--variant", "quat"], '{"inputs": [[1, 0, 0, 0]]} x'),
+    (["hopf", "--variant", "quat"], '{"inputs": [[1, 0, 0, 0]]}}'),
+    (["lift", "--variant", "quat"], '{"points": [[1, 0, 0]],}'),
+    (["lift", "--variant", "quat"], '{"points": [[1, 0, 0],]}'),
+    (["lift", "--variant", "quat"], '{"points": [[1, 0, 0]] "x": 1}'),
+    (["lift", "--variant", "quat"], '[[1, 0, 0]]'),
+]
+
+
+def sliced_rows(rows, marks):
+    """The text inside a row list's brackets, and its closing bracket:
+    `rows` (row texts) joined by ", ", with spaces at the start of each
+    slice so that SLICE characters after that start falls, by marks[i],
+    "in" a row, on the "gap" between two rows or, the last mark, on the
+    list's "end" bracket (after spaces that follow the last row used)."""
+    text, start, i = "", 0, 0
+    for mark in marks[:-1]:
+        for pad in range(SLICE):
+            at, j = start + pad, i  # where row j starts
+            while at + len(rows[j]) + 2 <= start + SLICE:
+                at, j = at + len(rows[j]) + 2, j + 1
+            inside = at < start + SLICE < at + len(rows[j]) - 1
+            if (mark == "in") == inside and (inside or start + SLICE >= at + len(rows[j])):
+                break
+        last = j if mark == "in" else j + 1  # the row whose bracket the scan finds
+        text += " " * pad + ", ".join(rows[i : last + 1]) + ","
+        start, i = len(text), last + 1
+    while len(text) + len(rows[i]) + 2 < start + SLICE:
+        text += (" " if i else "") + rows[i] + ","
+        i += 1
+    text = text[:-1]
+    return text + " " * (start + SLICE - len(text)) + "]"
+
+
+def sliced_cases(seed=4):
+    """Documents of three and four slices of rows: good ones of each row
+    list shape, one with its row list first, and ones whose second or
+    last slice holds a bad row or does not parse."""
+    rng = np.random.default_rng(seed)
+    points = [json.dumps(r) for r in unit_rows(rng, 6000, 3)]
+    quats = unit_rows(rng, 6000, 4)
+    pairs = [json.dumps({"z": q[:2], "w": q[2:]}) for q in quats]
+    quats = [json.dumps(q) for q in quats]
+    marks = (["in", "gap", "end"], ["gap", "in", "in", "end"])
+    rotate = '{"axis_angle": %s, "points": [%%s}' % AXIS
+
+    def with_row(k, row):  # the points with `row` in place k
+        return sliced_rows(points[:k] + [row] + points[k:], marks[0])
+
+    return [
+        (["rotate", "--convention", "quat"], rotate % sliced_rows(points, marks[0])),
+        (["rotate", "--convention", "bloch"], '{"points": [%s, "axis_angle": %s}' % (sliced_rows(points, marks[1]), AXIS)),
+        (["hopf", "--variant", "quat"], '{"inputs": [%s}' % sliced_rows(quats, marks[1])),
+        (["hopf", "--variant", "classic"], '{"inputs": [%s}' % sliced_rows(pairs, marks[0])),
+        (["lift", "--variant", "bloch"], '{"points": [%s}' % sliced_rows(points, marks[1])),
+        # in the second slice, then in the last
+        (["lift", "--variant", "quat"], '{"points": [%s}' % with_row(1500, "[0.6, true, 0.8]")),
+        (["lift", "--variant", "classic"], '{"points": [%s}' % with_row(1200, "[0.6, 0.8 0]")),
+        (["rotate"], rotate % with_row(3000, "[NaN, 0, 1]")),
+        (["hopf", "--variant", "bloch"], '{"inputs": [%s}' % sliced_rows(pairs[:1500] + ["[0.6, 0, 0, 0.8]"] + pairs[1500:], marks[0])),
+    ]
+
+
 # -- the library's scalar calls ---------------------------------------------------
 
 # each function and the kinds of its arguments: the nine calls of the
@@ -454,6 +570,9 @@ def cases(edge=1000, seed=0, points=20000, samples=300, batch_seeds=(1, 2), benc
             out.append((f"cli-batch seed {s}", argv, json.dumps(doc)))
     for i, (argv, stdin) in enumerate(edge_cases(edge, seed)):
         out.append((f"edge {i}", argv, stdin))
+    for i, (argv, stdin) in enumerate(SCAN_EDGES + sliced_cases()):
+        out.append((f"scan {i}", argv, stdin))
+        out.append((f"scan {i} from a file", [*argv, "--in", FILE], stdin))
     for v in VARIANTS:
         for i, base in enumerate(FIBER_BASES):
             argv = ["fiber", "--variant", v, "--count", str(FIBER_COUNT)]

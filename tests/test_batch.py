@@ -25,7 +25,18 @@ from hopfrot import cli
 from hopfrot.hopf import LIFTS, MAPS, HopfVariant, lift_bloch
 from hopfrot.quat import ComplexPair, Quaternion, to_complex_pair, vector_norm
 from hopfrot.rotations import axis_angle, rotate, rotate_via_bloch
-from snapshot import BATCH, VARIANTS, batch_document, run_main, unit_rows
+from snapshot import (
+    BATCH,
+    FILE,
+    PAIR,
+    ROTATE,
+    SCAN_EDGES,
+    VARIANTS,
+    batch_document,
+    run_main,
+    sliced_cases,
+    unit_rows,
+)
 
 
 def pair(row):
@@ -100,9 +111,10 @@ def expected_fiber(argv, doc):
 EXPECTED = {"rotate": expected_rotate, "hopf": expected_hopf, "lift": expected_lift, "fiber": expected_fiber}
 
 
-def check_batch(argv, doc):
+def check_batch(argv, doc, text=None):
+    """The output of `argv` on `doc`, or on `text` that decodes to it."""
     out, warnings = EXPECTED[argv[0]](argv, doc)
-    code, stdout, stderr = run_main(argv, json.dumps(doc))
+    code, stdout, stderr = run_main(argv, text or json.dumps(doc))
     assert code == 0, stderr
     # float reprs are the JSON numbers, so equal text is equal bits; split,
     # since pytest's report of two long unequal lines takes minutes
@@ -175,6 +187,27 @@ def test_pair_memory_is_that_of_quaternion_rows(variant):
     assert traced_peak(["hopf", "--variant", variant], pairs) <= 1.25 * traced_peak(["hopf", "--variant", "quat"], quat)
 
 
+@pytest.mark.parametrize("argv", [["rotate"], ["hopf", "--variant", "quat"], ["hopf", "--variant", "classic"],
+                                  ["lift", "--variant", "bloch"]], ids=" ".join)
+def test_batch_memory_is_a_small_multiple_of_the_document(argv):
+    # rows are read a slice at a time, and evaluated and written a block at
+    # a time, so what a command holds beside the document text is its rows
+    # and results as float64 arrays: on 20000 rows, tracemalloc peaks
+    # measured 1.71-1.86 times the text's length, against 2.91-3.80 when
+    # the whole parsed list of rows was held
+    rng = np.random.default_rng(0)
+    rows = unit_rows(rng, 20000, 4 if argv[0] == "hopf" else 3)
+    if argv[0] == "rotate":
+        doc = {"axis_angle": {"theta": 1.0, "axis": [0.0, 0.6, 0.8]}, "points": rows}
+    elif argv[-1] == "classic":
+        doc = {"inputs": [{"z": r[:2], "w": r[2:]} for r in rows]}
+    else:
+        doc = {"inputs" if argv[0] == "hopf" else "points": rows}
+    text = json.dumps(doc)
+    traced_peak(["hopf", "--variant", "quat"], '{"inputs": [[1, 0, 0, 0]]}')  # the first call's one-time allocations
+    assert traced_peak(argv, text) <= 2.25 * len(text)
+
+
 @pytest.mark.parametrize("convention", ["quat", "bloch"])
 def test_overflow_is_a_domain_error(convention):
     doc = '{"axis_angle":{"theta":3.0,"axis":[0.6,0.8,0]},"points":[[1,0,0],[1.7e308,1.7e308,1.7e308]]}'
@@ -238,14 +271,73 @@ PAIRS = '{"inputs":[{"z":[0.6,0],"w":[0,0.8]},%s]}'
          "error: input pair.w must be finite\n"),
         (["hopf", "--variant", "classic"], PAIRS % '{"z":[1,0],"w":[NaN,0]}', 3,
          "error: input pair.w must be finite\n"),
+        # documents the slice scan of row lists hands to json.loads: a
+        # repeated row key keeps its last list
+        (["hopf", "--variant", "bloch"], '{"inputs": [%s], "inputs": [{"z": [NaN, 0], "w": [0, 0]}]}' % PAIR, 3,
+         "error: input pair.z must be finite\n"),
+        (["hopf", "--variant", "quat"], '{"inp\\u0075ts": [[1, 0, 0, 0]], "x": 1}', 2,
+         "error: unknown fields: ['x']\n"),
+        (["rotate"], ROTATE % '[1, 0, 0], "]", [0, 1, 0]', 2, "error: point must be a list of 3 numbers\n"),
+        (["lift", "--variant", "bloch"], '{"points": [[1, "]", 0]]}', 2, "error: point must be a number\n"),
+        (["hopf", "--variant", "classic"], '{"inputs": [%s, "}", %s]}' % (PAIR, PAIR), 2,
+         "error: input pair must be an object with z and w\n"),
+        (["hopf", "--variant", "bloch"], '{"inputs": [{"z": [1, 0], "w": [0, 0], "}": 1}]}', 2,
+         "error: unknown fields: ['}']\n"),
+        (["lift", "--variant", "quat"], '{"points": [[0.6, 0.8, 0], [1, [0], 0]]}', 2,
+         "error: point must be a number\n"),
+        (["rotate"], ROTATE % '[1, 0, 0], {"x": [1, 0, 0]}', 2, "error: point must be a list of 3 numbers\n"),
+        (["hopf", "--variant", "quat"], '{"inputs": [[1, 0, 0, 0], true]}', 2,
+         "error: input quaternion must be a list of 4 numbers\n"),
+        (["hopf", "--variant", "quat"], '{"inputs": [[1, true, 0, 0]]}', 2, "error: input quaternion must be a number\n"),
+        (["lift", "--variant", "bloch"], '{"points": [[0.6, 0.8, 0], [NaN, 0, 1]]}', 3, "error: point must be finite\n"),
+        (["rotate"], ROTATE % ("[1, 0, 1%s]" % ("0" * 399)), 3, "error: point must be finite\n"),
+        (["hopf", "--variant", "quat"], '{"inputs": [[1, 0, 0, 0]]} x', 2,
+         "error: cannot read input document: Extra data: line 1 column 28 (char 27)\n"),
+        (["hopf", "--variant", "quat"], '{"inputs": [[1, 0, 0, 0]]}}', 2,
+         "error: cannot read input document: Extra data: line 1 column 27 (char 26)\n"),
+        (["lift", "--variant", "quat"], '{"points": [[1, 0, 0]],}', 2, "error: cannot read input document: "
+         "Expecting property name enclosed in double quotes: line 1 column 24 (char 23)\n"),
+        (["lift", "--variant", "quat"], '{"points": [[1, 0, 0],]}', 2,
+         "error: cannot read input document: Expecting value: line 1 column 23 (char 22)\n"),
+        (["lift", "--variant", "quat"], '{"points": [[1, 0, 0]] "x": 1}', 2,
+         "error: cannot read input document: Expecting ',' delimiter: line 1 column 24 (char 23)\n"),
+        (["lift", "--variant", "quat"], "[[1, 0, 0]]", 2, "error: input document must be a JSON object\n"),
     ],
     ids=["lift", "hopf", "rotate", "bloch-overflow-then-origin", "bloch-origin-then-overflow", "quat-norms",
          "pair-w-before-z", "pair-repeated-key", "pair-repeated-key-bad", "pair-third-key", "document-is-a-pair",
-         "pair-as-z", "pair-true", "pair-null", "pair-string", "pair-400-digits", "pair-nan"],
+         "pair-as-z", "pair-true", "pair-null", "pair-string", "pair-400-digits", "pair-nan",
+         "scan-repeated-key", "scan-escaped-key", "scan-string-bracket", "scan-string-in-row", "scan-string-brace",
+         "scan-brace-key", "scan-nested-list", "scan-object", "scan-true", "scan-true-in-row", "scan-nan",
+         "scan-400-digits", "scan-trailing-word", "scan-trailing-brace", "scan-trailing-comma",
+         "scan-trailing-row-comma", "scan-missing-comma", "scan-not-an-object"],
 )
 def test_first_bad_row_reports_its_error(argv, doc, code, stderr):
     # the warnings of the rows before it come first, as one scalar call per row prints them
     assert run_main(argv, doc) == (code, "", stderr)
+
+
+SCAN_DOCS = SCAN_EDGES + sliced_cases()
+# the documents that the slice scan reads itself; it hands the rest, with
+# a repeated key, a bad row or bad JSON, to json.loads and the row-by-row path
+SCAN_READS = {4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, *range(len(SCAN_EDGES), len(SCAN_EDGES) + 5)}
+SCAN_ROWS = {"rotate": (3, False), "quat": (4, False), "classic": (4, True), "bloch": (4, True), "lift": (3, False)}
+
+
+@pytest.mark.parametrize("index", range(len(SCAN_DOCS)))
+def test_scanned_documents_give_what_json_loads_gives(index, monkeypatch):
+    argv, text = SCAN_DOCS[index]
+    rows = SCAN_ROWS[argv[0] if argv[0] != "hopf" else argv[2]]
+    assert (cli._scan(text, *rows) is not None) == (index in SCAN_READS)
+    got = run_main(argv, text)
+    assert run_main([*argv, "--in", FILE], text) == got
+    monkeypatch.setattr(cli, "_scan", lambda *args: None)
+    assert run_main(argv, text) == got
+
+
+@pytest.mark.parametrize("index", range(len(SCAN_EDGES), len(SCAN_EDGES) + 5))
+def test_sliced_documents_match_scalar_calls(index):
+    argv, text = SCAN_DOCS[index]
+    check_batch(argv, json.loads(text), text)
 
 
 @pytest.mark.parametrize("variant", ["classic", "bloch"])
