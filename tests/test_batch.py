@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -453,3 +454,176 @@ def test_fuzzed_documents_end_in_a_defined_way(case):
     else:
         assert stdout == ""
         assert stderr.startswith("error: ") or "\nerror: " in stderr
+
+
+# -- the document reader against json.loads ------------------------------------
+
+
+def row_array(rows, width, pairs):
+    """rows as an (N, width) float64 array if each is a list of `width`
+    finite numbers (with `pairs`, an object of just z and w, each a list of
+    two, as the row z + w), else None."""
+    if pairs:
+        if not all(type(r) is dict and sorted(r) == ["w", "z"] for r in rows):
+            return None
+        if not all(type(r[k]) is list and len(r[k]) == 2 for r in rows for k in "zw"):
+            return None
+        rows = [r["z"] + r["w"] for r in rows]
+    if not all(type(r) is list and len(r) == width and all(type(x) in (int, float) for x in r) for r in rows):
+        return None
+    try:
+        arr = np.array([[float(x) for x in r] for r in rows], dtype=np.float64).reshape(-1, width)
+    except OverflowError:
+        return None
+    return arr if np.isfinite(arr).all() else None
+
+
+def whole_text_doc(text, width, pairs):
+    """What the reader must give for a document whose whole text is `text`:
+    json.loads's document, with each top-level list as row_array's array
+    when every one of them is a list of rows and no top-level key repeats;
+    else json.loads's own document, or the error that ends the command."""
+    sizes = []  # of each object json.loads decodes; the top level is the last
+    try:
+        doc = json.loads(text, object_pairs_hook=lambda p: sizes.append(len(p)) or dict(p))
+    except (ValueError, RecursionError) as e:
+        return f"cannot read input document: {e}"
+    if not isinstance(doc, dict):
+        return "input document must be a JSON object"
+    arrays = {k: row_array(v, width, pairs) for k, v in doc.items() if type(v) is list}
+    if len(doc) == sizes[-1] and all(a is not None for a in arrays.values()):
+        doc.update(arrays)
+    return doc
+
+
+def same_doc(got, want):
+    """got and want are equal documents, arrays bit for bit, or the same error."""
+    if isinstance(want, str) or isinstance(got, str):
+        return got == want
+    return list(got) == list(want) and all(
+        type(got[k]) is type(want[k])
+        and (got[k].shape == want[k].shape and got[k].tobytes() == want[k].tobytes()
+             if type(want[k]) is np.ndarray else repr(got[k]) == repr(want[k]))
+        for k in want
+    )
+
+
+def read_doc(stdin, width, pairs, path=None):
+    """cli._load_doc's document, or its error's message."""
+    saved, sys.stdin = sys.stdin, stdin
+    try:
+        return cli._load_doc(path, width, pairs)
+    except cli.ParseError as e:
+        return str(e)
+    finally:
+        sys.stdin = saved
+
+
+ws = st.text(alphabet=" \t\r\n", max_size=3)
+good_number = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["1.7e308", "5e-324", "-0.0", "0.6", "1E2", "-1e-5", "2e+3"]),
+)
+bad_number = st.sampled_from(
+    ["NaN", "-Infinity", "Infinity", "1e400", "1" + "0" * 400, "true", "null", '"]"', '"}"', "[0]", "{}", "-", "01"]
+)
+# string content: multi-byte UTF-8, a surrogate-escaped byte, JSON escapes
+# and the row brackets; in a bad document also a control character or a
+# bad escape
+STRING_CHARS = ["a", "z", " ", "]", "}", ",", ":", "é", "€", "😀", "\udcff", '\\"', "\\u00e9", "\\ud83d\\ude00",
+                "\\n"]
+PAIR_KEYS = [["z", "w"], ["w", "z"], ["z", "w", "z"], ["\\u007a", "w"], ["z"], ["z", "w", "x"], ["w", "w"]]
+
+
+def number(clean):
+    return good_number if clean else st.one_of(good_number, good_number, good_number, good_number, bad_number)
+
+
+def string(clean):
+    chars = STRING_CHARS + ([] if clean else ["\x01", "\\x"])
+    return st.lists(st.sampled_from(chars), max_size=6).map(lambda s: '"%s"' % "".join(s))
+
+
+@st.composite
+def json_list(draw, item, max_size):
+    items = draw(st.lists(item, max_size=max_size))
+    return "[" + draw(ws) + ",".join(draw(ws) + x + draw(ws) for x in items) + "]"
+
+
+@st.composite
+def number_row(draw, k, clean):
+    n = k if clean else draw(st.sampled_from([k, k, k, k - 1, k + 1, 0]))
+    return "[" + ",".join(draw(ws) + draw(number(clean)) + draw(ws) for _ in range(n)) + "]"
+
+
+@st.composite
+def pair_row(draw, clean):
+    keys = draw(st.sampled_from(PAIR_KEYS[: 4 if clean else None]))
+    return "{" + ",".join(draw(ws) + '"%s"' % k + draw(ws) + ":" + draw(ws) + draw(number_row(2, clean)) + draw(ws)
+                          for k in keys) + "}"
+
+
+def row_list(width, pairs, clean):
+    row = pair_row(clean) if pairs else number_row(width, clean)
+    return json_list(row if clean else st.one_of(row, row, row, row, number(clean)), 6)
+
+
+@st.composite
+def reader_documents(draw):
+    """(width, pairs, text): a document of top-level keys, row lists among
+    them, with random whitespace and keys that are escaped or hold
+    multi-byte characters; half of them also with bad rows, bad strings,
+    repeated keys, trailing data, a text that is not an object, or a
+    character deleted or replaced at a random place."""
+    width, pairs = draw(st.sampled_from([(3, False), (4, False), (4, True)]))
+    clean = draw(st.booleans())
+    rows = row_list(width, pairs, clean)
+    value = st.one_of(rows, rows, rows, number(clean), string(clean), st.just('{"theta": 1, "axis": [0, 0, 1]}'),
+                      *[] if clean else [json_list(string(clean), 3)])
+    key = st.one_of(st.sampled_from(['"points"', '"inputs"', '"p\\u006fints"']), string(clean))
+    fields = draw(st.lists(st.tuples(key, value), max_size=3, unique_by=(lambda f: f[0]) if clean else None))
+    if clean:  # and a list of rows
+        fields.insert(draw(st.integers(0, len(fields))), ('"points"' if fields else '"\\u0069nputs"', draw(rows)))
+    text = draw(ws) + "{" + draw(ws) + ",".join(
+        draw(ws) + k + draw(ws) + ":" + draw(ws) + v + draw(ws) for k, v in fields) + "}" + draw(ws)
+    if clean:
+        return width, pairs, text
+    text += draw(st.sampled_from(["", "", "x", "}", "\x00", "[]", "\ufeff"]))
+    text = draw(st.sampled_from([text, text, "[%s]" % text, "\ufeff" + text]))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(["", "[", "]", "}", ",", '"', "é"])) + text[at + 1:]
+    return width, pairs, text
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much, HealthCheck.data_too_large])
+@given(reader_documents(), st.integers(1, 40))
+def test_reader_gives_json_loads_arrays_or_hands_back(case, cut):
+    # documents read from stdin as text, from stdin's bytes decoded with
+    # surrogateescape and strictly, and from a file, with slices (and
+    # reads) of 1-40 characters, so that cuts fall everywhere: multi-byte
+    # UTF-8 characters, keys, numbers and rows straddle them
+    width, pairs, text = case
+    raw = text.encode("utf-8", "surrogateescape")
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        mp.setattr(cli, "_SLICE", cut)
+        want = whole_text_doc(text, width, pairs)
+        assert same_doc(read_doc(io.StringIO(text), width, pairs), want)
+        for errors in ("surrogateescape", "strict"):
+            stdin = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors=errors, newline="\n")
+            try:
+                want = whole_text_doc(raw.decode("utf-8", errors), width, pairs)
+            except UnicodeDecodeError as e:
+                want = f"cannot read input document: {e}"
+            assert same_doc(read_doc(stdin, width, pairs), want)
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "wb") as f:
+            f.write(raw)
+        try:
+            with open(path, encoding="utf-8") as f:
+                want = whole_text_doc(f.read(), width, pairs)
+        except UnicodeDecodeError as e:
+            want = f"cannot read input document: {e}"
+        assert same_doc(read_doc(io.StringIO(""), width, pairs, path), want)
