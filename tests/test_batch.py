@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -22,11 +23,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from goldens import CHILD_ENV
 from hopfrot import cli
 from hopfrot.hopf import LIFTS, MAPS, HopfVariant, lift_bloch
 from hopfrot.quat import ComplexPair, Quaternion, to_complex_pair, vector_norm
 from hopfrot.rotations import axis_angle, rotate, rotate_via_bloch
 from snapshot import (
+    AXIS,
     BATCH,
     FILE,
     PAIR,
@@ -339,6 +342,67 @@ def test_scanned_documents_give_what_json_loads_gives(index, monkeypatch):
 def test_sliced_documents_match_scalar_calls(index):
     argv, text = SCAN_DOCS[index]
     check_batch(argv, json.loads(text), text)
+
+
+NO_DOC = "error: cannot read input document: "
+# documents at the edges of the reader, and the exit code, stdout and
+# stderr that reading the whole text at once gave for each, from stdin and
+# (where it differs) from a file of its text's UTF-8 bytes
+HAND_MADE = {
+    "bom": (["lift", "--variant", "quat"], '\ufeff{"points": [[1, 0, 0]]}',
+            (2, "", NO_DOC + "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)\n")),
+    "deep": (["lift", "--variant", "bloch"], '{"points": %s}' % ("[" * 100000 + "]" * 100000),
+             (2, "", NO_DOC + "maximum recursion depth exceeded while decoding a JSON array from a unicode string\n")),
+    "repeated-not-list": (["lift", "--variant", "quat"], '{"points": [[1, 0, 0]], "points": {"x": 1}}',
+                          (2, "", "error: lift needs a points list\n")),
+    "list-axis-angle": (["rotate"], '{"axis_angle": [1, 0, 0], "points": [[1, 0, 0]]}',
+                        (2, "", "error: axis_angle must be an object\n")),
+    "unknown-list": (["hopf", "--variant", "quat"], '{"inputs": [[1, 0, 0, 0]], "extra": [[1, 0, 0, 0]]}',
+                     (2, "", "error: unknown fields: ['extra']\n")),
+    "nul-after": (["lift", "--variant", "bloch"], '{"points": [[0, 0, 1]]}\x00',
+                  (2, "", NO_DOC + "Extra data: line 1 column 24 (char 23)\n")),
+    "1e400": (["rotate", "--convention", "bloch"], ROTATE % "[1e400, 0, 0]", (3, "", "error: point must be finite\n")),
+    "-Infinity": (["hopf", "--variant", "quat"], '{"inputs": [[-Infinity, 0, 0, 0]]}',
+                  (3, "", "error: input quaternion must be finite\n")),
+    "key-escape": (["lift", "--variant", "classic"], '{"poi\\qnts": [[1, 0, 0]]}',
+                   (2, "", NO_DOC + "Invalid \\escape: line 1 column 6 (char 5)\n")),
+    "unclosed": (["hopf", "--variant", "bloch"], '{"inputs": [%s]' % PAIR,
+                 (2, "", NO_DOC + "Expecting ',' delimiter: line 1 column 44 (char 43)\n")),
+    "control": (["rotate"], '{"axis_angle": %s, "points": [[1, 0, 0]], "note": "a\x01b"}' % AXIS,
+                (2, "", NO_DOC + "Invalid control character at: line 1 column 82 (char 81)\n")),
+    "pair-keys": (["hopf", "--variant", "classic"], '{"inputs": [{"z": [0.6, 0], "w": [0, 0.8], "z": [0, 0.6]}]}',
+                  (0, '{"points": [[0.9599999999999999, 0.0, -0.2800000000000001]]}\n', "")),
+    "empty": (["lift", "--variant", "quat"], "", (2, "", NO_DOC + "Expecting value: line 1 column 1 (char 0)\n")),
+    "blank": (["hopf", "--variant", "quat"], " \n\t", (2, "", NO_DOC + "Expecting value: line 2 column 2 (char 3)\n")),
+    "escaped-byte-key": (["lift", "--variant", "quat"], '{"points": [[1, 0, 0]], "\udcff": 1}',
+                         (2, "", "error: unknown fields: ['\\udcff']\n"),
+                         (2, "", NO_DOC + "'utf-8' codec can't decode byte 0xff in position 25: invalid start byte\n")),
+}
+
+
+@pytest.mark.parametrize("case", HAND_MADE.values(), ids=HAND_MADE.keys())
+def test_hand_made_documents_give_what_the_whole_text_gave(case, tmp_path):
+    argv, text, got, *from_file = case
+    assert run_main(argv, text) == got
+    path = tmp_path / "doc.json"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    assert run_main([*argv, "--in", str(path)], "") == (from_file or [got])[0]
+
+
+def test_undecodable_byte_past_the_first_chunk_reports_its_offset(tmp_path):
+    # the codec's error names the byte's offset in the whole input, from a
+    # file and from a strictly decoded stdin; stdin decoded with
+    # surrogateescape reads the byte as a character
+    raw = ('{"points": [%s], "\udcff": 1}' % ", ".join(["[0.6, 0.8, 0.0]"] * 5000)).encode("utf-8", "surrogateescape")
+    assert raw.index(b"\xff") == 85014 > cli._SLICE
+    error = NO_DOC + "'utf-8' codec can't decode byte 0xff in position 85014: invalid start byte\n"
+    path = tmp_path / "doc.json"
+    path.write_bytes(raw)
+    assert run_main(["lift", "--variant", "quat", "--in", str(path)], "") == (2, "", error)
+    for encoding, stderr in [("utf-8:strict", error), ("utf-8:surrogateescape", "error: unknown fields: ['\\udcff']\n")]:
+        res = subprocess.run([sys.executable, "-m", "hopfrot", "lift", "--variant", "quat"], input=raw,
+                             capture_output=True, env=dict(CHILD_ENV, PYTHONIOENCODING=encoding))
+        assert (res.returncode, res.stdout, res.stderr.decode()) == (2, b"", stderr)
 
 
 @pytest.mark.parametrize("variant", ["classic", "bloch"])
