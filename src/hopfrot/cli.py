@@ -2,27 +2,33 @@
 
 One JSON document in (stdin or --in FILE), one JSON document out on
 stdout, diagnostics on stderr.  Exit codes: 0 success, 1 verification
-failure, 2 usage/parse error, 3 domain error.  Angles are radians unless
+failure, 2 usage/parse/output error, 3 domain error.  Angles are radians unless
 --degrees is given; the axis may be off unit norm by up to 1e-6 and is
 renormalized with a warning (the library itself stays strict).
 
-rotate, hopf and lift read their rows a 64 KB slice at a time (_scan),
-or else by json.loads and row by row, so the first bad row reports its
-error; they and fiber evaluate (by the column forms, branches included),
-renormalize and write rows 2048 at a time.  A column form is not finite
-only where the scalar function raises or its result overflows; the first
-such row ends the command with the scalar call's error.  Output, warnings
-and errors are the scalar calls', byte for byte.
+rotate, hopf and lift read their document a 64 KB chunk at a time and
+their rows a slice at a time (_scan), so they never hold its text whole;
+stdin's chunks are copied to an unnamed temporary file as they are read.
+A document _scan hands back is read whole again, from that file and the
+rest of stdin or from --in FILE, by json.loads and row by row, so the
+first bad row reports its error.  They and fiber evaluate (by the column
+forms, branches included), renormalize and write rows 2048 at a time.  A
+column form is not finite only where the scalar function raises or its
+result overflows; the first such row ends the command with the scalar
+call's error.  Output, warnings and errors are the scalar calls', byte
+for byte.  A closed stdout pipe is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import math
+import os
 import sys
+import tempfile
 from dataclasses import astuple
-from functools import partial
 from itertools import chain
 from operator import itemgetter
 
@@ -63,17 +69,18 @@ class ParseError(ValueError):
 
 
 def _load_doc(path: str | None, width: int = 0, pairs: bool = False) -> dict:
-    """The input document.  With `width`, _scan reads it where it can,
-    with each list of rows of that width as an array; else json.loads."""
+    """The input document.  With `width`, _scan reads it where it can, a
+    chunk at a time, with each list of rows of that width as an array;
+    else json.loads, from its whole text."""
     try:
         if path is None:
-            text = sys.stdin.read()
+            doc = _stdin_doc(width, pairs) if width else json.loads(sys.stdin.read())
         else:
             with open(path, "r", encoding="utf-8") as f:
-                text = f.read()
-        doc = _scan(text, width, pairs) if width else None
-        if doc is None:
-            doc = json.loads(text)
+                doc = _scan(f.read, width, pairs) if width else None
+            if doc is None:  # the whole text, read again
+                with open(path, "r", encoding="utf-8") as f:
+                    doc = json.loads(f.read())
     # ValueError: bad JSON, UTF-8 or int literal; RecursionError: too deeply nested
     except (OSError, ValueError, RecursionError) as e:
         raise ParseError(f"cannot read input document: {e}") from e
@@ -82,51 +89,153 @@ def _load_doc(path: str | None, width: int = 0, pairs: bool = False) -> dict:
     return doc
 
 
-_SLICE = 1 << 16  # characters of rows per json.loads call
+def _stdin_doc(width: int, pairs: bool):
+    """stdin's document, by _scan from chunks of its bytes, each copied as
+    it is read to an unnamed temporary file.  If _scan hands it back, or
+    no such file can be made, json.loads takes the whole text: that file's
+    bytes and the rest of stdin's, decoded at once as sys.stdin.read()
+    decodes them, so that a codec error names the same offset."""
+    f = sys.stdin
+    if getattr(f, "buffer", None) is not None:  # decoded here, to know each byte's offset
+        read, codec = f.buffer.read, (f.encoding, f.errors)
+    else:  # a text stream: its characters as bytes that decode back to them
+        codec = ("utf-8", "surrogatepass")
+
+        def read(n=-1):
+            return f.read(n).encode(*codec)
+
+    try:
+        spool = tempfile.TemporaryFile()
+    except OSError:
+        return json.loads(read().decode(*codec))
+    decode = codecs.getincrementaldecoder(codec[0])(codec[1]).decode
+
+    def chunk(n):
+        while True:
+            data = read(n)
+            spool.write(data)
+            text = decode(data, not data)
+            if text or not data:
+                return text
+
+    with spool:
+        doc = _scan(chunk, width, pairs)
+        if doc is not None:
+            return doc
+        spool.seek(0)
+        text = spool.read()
+    return json.loads((text + read()).decode(*codec))
+
+
+_SLICE = 1 << 16  # characters of rows per json.loads call, and of each read
 _ws = json.decoder.WHITESPACE.match
 _scan_once = json.decoder.JSONDecoder().scan_once
 
 
-def _scan(text: str, width: int, pairs: bool) -> dict | None:
-    """The JSON object `text` as json's own object parser decodes it, but
-    with each list value as an array (_scan_value); None, for json.loads
-    and the row-by-row path to decode and report, if `text` is not an
-    object, a key repeats, a list holds a bad row or it does not parse."""
-    pos = _ws(text).end()
-    if not text.startswith("{", pos):
-        return None
+def _key(text: str, pos: int) -> tuple:
+    return json.decoder.scanstring(text, pos + 1)
+
+
+def _rest_of_list(text: str, pos: int) -> tuple:
+    """The list whose rows start at text[pos], and the index after it."""
+    rows, end = _scan_once("[" + text[pos:], 0)
+    return rows, pos + end - 1
+
+
+def _scan(read, width: int, pairs: bool) -> dict | None:
+    """The JSON object whose text read(n) gives n characters at a time (""
+    at its end), as json.loads decodes it, but with each list value as an
+    array (_Window.rows); None, for json.loads and the row-by-row path to
+    decode and report, if the text is not an object, a key repeats, a list
+    holds a bad row, or it does not parse or decode."""
+    w = _Window(read)
     try:
-        scan = partial(_scan_value, width=width, pairs=pairs)
-        items, end = json.decoder.JSONObject((text, pos + 1), True, scan, None, list)
-    except (ValueError, RecursionError):  # json.loads reports it
+        if not w.take("{"):
+            return None
+        doc, sep = {}, w.take("}") or ","
+        while sep == ",":
+            if w.next() != '"':
+                return None
+            key = w.value(_key)
+            if key in doc or not w.take(":"):
+                return None
+            doc[key] = w.rows(width, pairs) if w.next() == "[" else w.value(_scan_once)
+            sep = w.take(",}")
+        return doc if sep == "}" and w.next() == "" else None
+    except (ValueError, StopIteration, RecursionError):  # json.loads reports it
         return None
-    doc = dict(items)
-    return doc if len(doc) == len(items) and _ws(text, end).end() == len(text) else None
 
 
-def _scan_value(text: str, pos: int, width: int, pairs: bool) -> tuple:
-    """The value at text[pos:] and the index after it, as json's scanner
-    gives them, but a list as the array of its rows, read by _bulk from
-    slices of about _SLICE characters that end at a row's closing bracket
-    and a comma, then from the rest of the list.  A slice that parses
-    starts and ends at row bounds.  ValueError if _bulk rejects a row."""
-    if not text.startswith("[", pos):
-        return _scan_once(text, pos)
-    blocks, end, pos = [], None, pos + 1
-    while end is None:
-        cut = text.find("}" if pairs else "]", pos + _SLICE) + 1
-        after = _ws(text, cut).end()
-        try:
-            if not (cut and text.startswith(",", after)):
-                raise ValueError("no row ends a slice before the list does")
-            rows, pos = json.loads("[" + text[pos:cut] + "]"), after + 1
-        except ValueError:  # the rest of the list
-            rows, end = _scan_once("[" + text[pos:], 0)
-            end += pos - 1
-        blocks.append(_bulk(rows, width, pairs))
-        if blocks[-1] is None:
-            raise ValueError("a bad row")
-    return np.concatenate(blocks), end
+class _Window:
+    """The text that read(n) gives, held from `pos`, where the parse is,
+    to as far as it has been read: about a chunk of _SLICE characters."""
+
+    def __init__(self, read):
+        self.read, self.text, self.pos, self.eof = read, "", 0, False
+
+    def more(self) -> None:
+        """Read on, as much as the window holds and at least _SLICE."""
+        chunk = self.read(max(_SLICE, len(self.text) - self.pos))
+        self.text, self.pos, self.eof = self.text[self.pos :] + chunk, 0, not chunk
+
+    def next(self) -> str:
+        """The next character that is not whitespace, at pos; "" at the end."""
+        while (pos := _ws(self.text, self.pos).end()) == len(self.text) and not self.eof:
+            self.pos = pos
+            self.more()
+        self.pos = pos
+        return self.text[pos : pos + 1]
+
+    def take(self, chars: str) -> str:
+        """The next character that is not whitespace, read past, if it is
+        one of `chars`; else ""."""
+        c = self.next()
+        if c and c in chars:
+            self.pos += 1
+            return c
+        return ""
+
+    def value(self, scan):
+        """The value that scan(text, pos) gives with the index after it,
+        where pos goes: tried again on more text while it fails or ends
+        within 3 characters of the window's end, where a number could go
+        on.  Its error, at the end of the text."""
+        while True:
+            try:
+                value, end = scan(self.text, self.pos)
+                if end + 3 <= len(self.text) or self.eof:
+                    self.pos = end
+                    return value
+            except (ValueError, StopIteration):
+                if self.eof:
+                    raise
+            self.more()
+
+    def rows(self, width: int, pairs: bool) -> np.ndarray:
+        """The list at pos as the array of its rows, read by _bulk from
+        slices of about _SLICE characters that end at a row's closing
+        bracket and a comma, then from the rest of the list.  A slice that
+        parses starts and ends at row bounds.  ValueError if _bulk rejects
+        a row."""
+        blocks, close = [], "}" if pairs else "]"
+        self.pos += 1
+        while True:
+            cut = self.text.find(close, self.pos + _SLICE) + 1
+            after = _ws(self.text, cut).end() if cut else len(self.text)
+            if after == len(self.text) and not self.eof:
+                self.more()
+                continue
+            try:
+                if not self.text.startswith(",", after):
+                    raise ValueError("no row ends a slice before the list does")
+                rows, self.pos = json.loads("[" + self.text[self.pos : cut] + "]"), after + 1
+            except ValueError:  # the last slice
+                rows, close = self.value(_rest_of_list), ""
+            blocks.append(_bulk(rows, width, pairs))
+            if blocks[-1] is None:
+                raise ValueError("a bad row")
+            if not close:
+                return np.concatenate(blocks)
 
 
 def _reject_unknown(doc: dict, allowed: set[str]) -> None:
@@ -479,13 +588,20 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe is found here, not at exit
+        return code
     except (ParseError, UnknownCheck) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except DomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DOMAIN
+    except BrokenPipeError as e:
+        # nothing more reaches the reader, not even what is buffered at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ ends in a traceback or in non-strict JSON.
 """
 
 import cmath
+import errno
 import io
 import json
 import math
@@ -212,6 +213,31 @@ def test_batch_memory_is_a_small_multiple_of_the_document(argv):
     assert traced_peak(argv, text) <= 2.25 * len(text)
 
 
+def memory_document(argv, n=20000):
+    """A document of n seeded unit rows for `argv`, as json.dumps writes it."""
+    rows = unit_rows(np.random.default_rng(0), n, 4 if argv[0] == "hopf" else 3)
+    if argv[0] == "rotate":
+        return json.dumps({"axis_angle": {"theta": 1.0, "axis": [0.0, 0.6, 0.8]}, "points": rows})
+    if argv[-1] in ("classic", "bloch") and argv[0] == "hopf":
+        return json.dumps({"inputs": [{"z": r[:2], "w": r[2:]} for r in rows]})
+    return json.dumps({"inputs" if argv[0] == "hopf" else "points": rows})
+
+
+@pytest.mark.parametrize("argv", [["rotate"], ["hopf", "--variant", "quat"], ["hopf", "--variant", "classic"],
+                                  ["lift", "--variant", "bloch"]], ids=" ".join)
+def test_batch_memory_does_not_grow_with_the_document_text(argv):
+    # the text is read a chunk at a time and never held whole, so padding
+    # each row with whitespace until the text is three times as long leaves
+    # the peak where it was: a whole read of the text would add twice its
+    # unpadded length, against a peak of under twice that length
+    text = memory_document(argv)
+    gap = "}, {" if argv[-1] == "classic" else "], ["
+    padded = text.replace(gap, gap[:2] + " " * (2 * len(text) // 20000) + gap[2:])
+    assert 2.9 * len(text) < len(padded) < 3.1 * len(text)
+    traced_peak(["hopf", "--variant", "quat"], '{"inputs": [[1, 0, 0, 0]]}')  # the first call's one-time allocations
+    assert traced_peak(argv, padded) <= 1.1 * traced_peak(argv, text)
+
+
 @pytest.mark.parametrize("convention", ["quat", "bloch"])
 def test_overflow_is_a_domain_error(convention):
     doc = '{"axis_angle":{"theta":3.0,"axis":[0.6,0.8,0]},"points":[[1,0,0],[1.7e308,1.7e308,1.7e308]]}'
@@ -331,7 +357,7 @@ SCAN_ROWS = {"rotate": (3, False), "quat": (4, False), "classic": (4, True), "bl
 def test_scanned_documents_give_what_json_loads_gives(index, monkeypatch):
     argv, text = SCAN_DOCS[index]
     rows = SCAN_ROWS[argv[0] if argv[0] != "hopf" else argv[2]]
-    assert (cli._scan(text, *rows) is not None) == (index in SCAN_READS)
+    assert (cli._scan(io.StringIO(text).read, *rows) is not None) == (index in SCAN_READS)
     got = run_main(argv, text)
     assert run_main([*argv, "--in", FILE], text) == got
     monkeypatch.setattr(cli, "_scan", lambda *args: None)
@@ -387,6 +413,23 @@ def test_hand_made_documents_give_what_the_whole_text_gave(case, tmp_path):
     path = tmp_path / "doc.json"
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
     assert run_main([*argv, "--in", str(path)], "") == (from_file or [got])[0]
+
+
+@pytest.mark.parametrize("name", ["pair-keys", "unclosed", "escaped-byte-key", "deep"])
+def test_stdin_is_read_whole_without_a_temporary_file(name, monkeypatch, tmp_path):
+    argv, text, got, *_ = HAND_MADE[name]
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    assert run_main(argv, text) == got
+
+
+def test_a_failed_write_to_the_temporary_file_is_a_read_error(monkeypatch):
+    class Full(io.BytesIO):
+        def write(self, data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", Full)
+    assert run_main(["hopf", "--variant", "quat"], '{"inputs": [[1, 0, 0, 0]]}') == (
+        2, "", NO_DOC + "[Errno 28] No space left on device\n")
 
 
 def test_undecodable_byte_past_the_first_chunk_reports_its_offset(tmp_path):

@@ -1,11 +1,13 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from goldens import CONVERT_IN, FIBER_IN, ROTATE_IN, check_golden, run_cli
-from snapshot import run_main
+from goldens import CHILD_ENV, CONVERT_IN, FIBER_IN, ROTATE_IN, check_golden, run_cli
+from snapshot import run_main, unit_rows
 
 
 def test_convert_golden():
@@ -123,6 +125,20 @@ class TestExitCodes:
     def test_off_sphere_fiber_base_is_3(self):
         res = run_cli(["fiber", "--variant", "quat", "--count", "2"], '{"base": [1, 1, 0]}')
         assert res.returncode == 3
+
+    def test_closed_output_pipe_is_2(self, tmp_path):
+        # the reader stops after 20 bytes of a 50000-row output: one line on
+        # stderr, exit 2, and no traceback when the process exits
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"inputs": unit_rows(np.random.default_rng(0), 50000, 4)}))
+        proc = subprocess.Popen([sys.executable, "-m", "hopfrot", "hopf", "--variant", "quat", "--in", str(path)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV)
+        assert len(proc.stdout.read(20)) == 20
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 2
+        assert stderr == b"error: cannot write output: [Errno 32] Broken pipe\n"
 
     def test_bad_count_is_2(self):
         res = run_cli(["fiber", "--variant", "quat", "--count", "0"], FIBER_IN)
