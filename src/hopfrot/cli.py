@@ -2,9 +2,10 @@
 
 One JSON document in (stdin or --in FILE), one JSON document out on
 stdout, diagnostics on stderr.  Exit codes: 0 success, 1 verification
-failure, 2 usage/parse/output error, 3 domain error.  Angles are radians unless
---degrees is given; the axis may be off unit norm by up to 1e-6 and is
-renormalized with a warning (the library itself stays strict).
+failure, 2 usage, parse or output error, 3 domain error.  Angles are
+radians unless --degrees is given; the axis may be off unit norm by up to
+1e-6 and is renormalized with a warning (the library itself stays
+strict).
 
 rotate, hopf and lift read their document a 64 KB chunk at a time and
 their rows a slice at a time (_scan), so they never hold its text whole;
@@ -127,7 +128,7 @@ def _stdin_doc(width: int, pairs: bool):
     return json.loads((text + read()).decode(*codec))
 
 
-_SLICE = 1 << 16  # characters of rows per json.loads call, and of each read
+_SLICE = 1 << 16  # characters of rows per json.loads call, and of each read (bytes of stdin)
 _ws = json.decoder.WHITESPACE.match
 _scan_once = json.decoder.JSONDecoder().scan_once
 
@@ -143,11 +144,12 @@ def _rest_of_list(text: str, pos: int) -> tuple:
 
 
 def _scan(read, width: int, pairs: bool) -> dict | None:
-    """The JSON object whose text read(n) gives n characters at a time (""
-    at its end), as json.loads decodes it, but with each list value as an
-    array (_Window.rows); None, for json.loads and the row-by-row path to
-    decode and report, if the text is not an object, a key repeats, a list
-    holds a bad row, or it does not parse or decode."""
+    """The JSON object whose text read(n) gives a chunk of about n
+    characters at a time ("" at its end), as json.loads decodes it, but
+    with each list value as an array (_Window.rows); None, for json.loads
+    and the row-by-row path to decode and report, if the text is not an
+    object, a key repeats, a list holds a bad row, or it does not parse or
+    decode."""
     w = _Window(read)
     try:
         if not w.take("{"):

@@ -213,9 +213,9 @@ def test_batch_memory_is_a_small_multiple_of_the_document(argv):
     assert traced_peak(argv, text) <= 2.25 * len(text)
 
 
-def memory_document(argv, n=20000):
-    """A document of n seeded unit rows for `argv`, as json.dumps writes it."""
-    rows = unit_rows(np.random.default_rng(0), n, 4 if argv[0] == "hopf" else 3)
+def memory_document(argv):
+    """A document of 20000 seeded unit rows for `argv`, as json.dumps writes it."""
+    rows = unit_rows(np.random.default_rng(0), 20000, 4 if argv[0] == "hopf" else 3)
     if argv[0] == "rotate":
         return json.dumps({"axis_angle": {"theta": 1.0, "axis": [0.0, 0.6, 0.8]}, "points": rows})
     if argv[-1] in ("classic", "bloch") and argv[0] == "hopf":
