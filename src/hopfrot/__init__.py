@@ -2,6 +2,9 @@
 seeded randomized harness checking every identity that ties them together.
 """
 
+import importlib.util as _util
+import sys as _sys
+
 from .errors import DomainError, NotPure, NotUnit, UnknownCheck, ZeroVector
 from .hopf import (
     HopfVariant,
@@ -65,6 +68,21 @@ from .su2 import (
     su2_multiply,
     torus,
 )
-from .verify import CATALOG, CheckReport, DiagramCheck, run_all, run_check
+_spec = _util.find_spec(".verify", __name__)
+verify = _sys.modules[_spec.name] = _util.module_from_spec(_spec)  # compiled and run on first use
+_util.LazyLoader(_spec.loader).exec_module(verify)
+_VERIFY = ("CATALOG", "CheckReport", "DiagramCheck", "run_all", "run_check")
+
+
+def __getattr__(name: str):
+    if name in _VERIFY:
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted([*globals(), *_VERIFY])
+
 
 __version__ = "0.1.0"
+__all__ = [name for name in globals() if not name.startswith("_")] + list(_VERIFY)

@@ -10,14 +10,15 @@ strict).
 rotate, hopf and lift read their document a 64 KB chunk at a time and
 their rows a slice at a time (_scan), so they never hold its text whole;
 stdin's chunks are copied to an unnamed temporary file as they are read.
+Rows stay the float64 block _scan made of each slice until evaluated.
 A document _scan hands back is read whole again, from that file and the
 rest of stdin or from --in FILE, by json.loads and row by row, so the
 first bad row reports its error.  They and fiber evaluate (by the column
-forms, branches included), renormalize and write rows 2048 at a time.  A
-column form is not finite only where the scalar function raises or its
-result overflows; the first such row ends the command with the scalar
-call's error.  Output, warnings and errors are the scalar calls', byte
-for byte.  A closed stdout pipe is a usage error.
+forms, branches included), renormalize and write rows up to 2048 at a
+time.  A column form is not finite only where the scalar function raises
+or its result overflows; the first such row ends the command with the
+scalar call's error.  Output, warnings and errors are the scalar calls',
+byte for byte.  A closed stdout pipe is a usage error.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from operator import itemgetter
 
 import numpy as np
 
+from . import verify  # lazily loaded: only convert and verify run it
 from .errors import DomainError, UnknownCheck
 from .hopf import (
     LIFTS,
@@ -48,7 +50,6 @@ from .hopf import (
 from .quat import ComplexPair, Quaternion, require_unit, to_complex_pair, vector_norm
 from .rotations import AxisAngle, gb, gq, rotate, to_axis_angle
 from .su2 import act_on_vector, quat_from_su2, su2_from_quat
-from .verify import CATALOG, encode, run_all
 
 RENORM_BAND = 1e-6
 
@@ -71,7 +72,7 @@ class ParseError(ValueError):
 
 def _load_doc(path: str | None, width: int = 0, pairs: bool = False) -> dict:
     """The input document.  With `width`, _scan reads it where it can, a
-    chunk at a time, with each list of rows of that width as an array;
+    chunk at a time, with each list of rows of that width as blocks;
     else json.loads, from its whole text."""
     try:
         if path is None:
@@ -146,7 +147,7 @@ def _rest_of_list(text: str, pos: int) -> tuple:
 def _scan(read, width: int, pairs: bool) -> dict | None:
     """The JSON object whose text read(n) gives a chunk of about n
     characters at a time ("" at its end), as json.loads decodes it, but
-    with each list value as an array (_Window.rows); None, for json.loads
+    with each list value as blocks (_Window.rows); None, for json.loads
     and the row-by-row path to decode and report, if the text is not an
     object, a key repeats, a list holds a bad row, or it does not parse or
     decode."""
@@ -213,12 +214,11 @@ class _Window:
                     raise
             self.more()
 
-    def rows(self, width: int, pairs: bool) -> np.ndarray:
-        """The list at pos as the array of its rows, read by _bulk from
-        slices of about _SLICE characters that end at a row's closing
-        bracket and a comma, then from the rest of the list.  A slice that
-        parses starts and ends at row bounds.  ValueError if _bulk rejects
-        a row."""
+    def rows(self, width: int, pairs: bool) -> list[np.ndarray]:
+        """The list at pos as blocks of its rows, read by _bulk from slices
+        of about _SLICE characters that end at a row's closing bracket and
+        a comma, then from the rest of the list.  A slice that parses
+        starts and ends at row bounds.  ValueError if _bulk rejects a row."""
         blocks, close = [], "}" if pairs else "]"
         self.pos += 1
         while True:
@@ -237,7 +237,7 @@ class _Window:
             if blocks[-1] is None:
                 raise ValueError("a bad row")
             if not close:
-                return np.concatenate(blocks)
+                return blocks
 
 
 def _reject_unknown(doc: dict, allowed: set[str]) -> None:
@@ -293,20 +293,20 @@ def _bulk(rows: list, width: int, pairs: bool = False) -> np.ndarray | None:
     return arr if np.isfinite(arr).all() else None
 
 
-def _rows(items: list | np.ndarray, width: int, row, pairs: bool = False) -> np.ndarray:
-    """Rows as _load_doc read them, or decoded by _bulk; if one is bad,
-    `row` decodes each in turn, and the first bad one raises."""
-    arr = items if type(items) is np.ndarray else _bulk(items, width, pairs)
-    if arr is None:  # some row is bad
+def _rows(items: list, width: int, row, pairs: bool = False) -> list[np.ndarray]:
+    """Rows as the blocks _load_doc read, or decoded by _bulk as one; if
+    one is bad, `row` decodes each in turn, and the first bad one raises."""
+    blocks = items if items and type(items[0]) is np.ndarray else [_bulk(items, width, pairs)]
+    if blocks[0] is None:  # some row is bad
         for x in items:
             row(x)
-    return arr
+    return blocks
 
 
-def _renormalized(rows: np.ndarray, what: str) -> np.ndarray:
+def _renormalized(rows: list[np.ndarray], what: str) -> list[np.ndarray]:
     """Scale to unit norm, in place, the rows within RENORM_BAND of it,
     each with a warning, in order; a row further off is a domain error."""
-    for block in (rows[start : start + _BLOCK] for start in range(0, len(rows), _BLOCK)):
+    for block in (b[start : start + _BLOCK] for b in rows for start in range(0, len(b), _BLOCK)):
         norms = vector_norm(block.T)
         warnings = []  # written a block at once: stderr is line buffered
         for n in norms.tolist():
@@ -321,7 +321,7 @@ def _renormalized(rows: np.ndarray, what: str) -> np.ndarray:
 
 
 def _unit(values: list[float], what: str) -> list[float]:
-    return _renormalized(np.array([values]), what)[0].tolist()
+    return _renormalized([np.array([values])], what)[0][0].tolist()
 
 
 def _axis_angle_of(x, degrees: bool) -> AxisAngle:
@@ -340,31 +340,33 @@ def _axis_angle_of(x, degrees: bool) -> AxisAngle:
 # batch evaluation and document encoding
 
 
-def _evaluate(rows: np.ndarray, columns, scalar) -> list[np.ndarray]:
-    """A map evaluated on every row of an (N, k) array by its column form,
-    as the list of its results on each block of _BLOCK rows.
+def _evaluate(rows: list[np.ndarray], columns, scalar) -> list[np.ndarray]:
+    """A map by its column form on every row of the (n, k) blocks `rows`,
+    each popped once evaluated: its results, _BLOCK rows or fewer a block.
 
     `columns` gives the bits of `scalar`, the map's scalar function of one
     row, wherever `scalar` returns, and NaN or infinity where it raises
     (see hopf.Forms).  So the first row that is not finite decides the
     error: `scalar` is called on it only to raise its own; if it returns,
-    the result has overflowed, a domain error naming the row.
+    the result has overflowed, a domain error naming the row's index.
     """
     outs = []
     with np.errstate(all="ignore"):
-        for start in range(0, len(rows), _BLOCK):
-            out = np.column_stack(np.broadcast_arrays(*columns(*rows[start : start + _BLOCK].T)))
-            bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
-            if len(bad):
-                row = rows[start + bad[0]].tolist()
-                scalar(row)
-                raise DomainError(f"row {start + bad[0]} {row}: the result overflows the float range")
-            outs.append(out)
+        while rows:
+            arr = rows.pop(0)
+            for start in range(0, len(arr), _BLOCK):
+                out = np.column_stack(np.broadcast_arrays(*columns(*arr[start : start + _BLOCK].T)))
+                bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+                if len(bad):
+                    row = arr[start + bad[0]].tolist()
+                    scalar(row)
+                    raise DomainError(f"row {sum(map(len, outs)) + bad[0]} {row}: the result overflows the float range")
+                outs.append(out)
     return outs
 
 
 def _emit(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, default=encode, allow_nan=False) + "\n")
+    sys.stdout.write(json.dumps(doc, sort_keys=True, default=verify.encode, allow_nan=False) + "\n")
 
 
 def _emit_rows(key: str, blocks, pairs=False, rest=dict) -> None:
@@ -420,7 +422,7 @@ def _cmd_rotate(args) -> int:
     if "axis_angle" not in doc or "points" not in doc:
         raise ParseError("rotate needs axis_angle and points")
     aa = _axis_angle_of(doc["axis_angle"], args.degrees)
-    if not isinstance(doc["points"], (list, np.ndarray)):
+    if not isinstance(doc["points"], list):
         raise ParseError("points must be a list")
     points = _rows(doc.pop("points"), 3, lambda x: _reals(x, 3, "point"))
     if args.convention == "bloch":
@@ -455,14 +457,14 @@ def _cmd_hopf(args) -> int:
     pairs = variant is not HopfVariant.QUAT
     doc = _load_doc(args.infile, 4, pairs)
     _reject_unknown(doc, {"inputs"})
-    if "inputs" not in doc or not isinstance(doc["inputs"], (list, np.ndarray)):
+    if "inputs" not in doc or not isinstance(doc["inputs"], list):
         raise ParseError("hopf needs an inputs list")
     row = (lambda x: _pair_of(x, "input pair")) if pairs else (lambda x: _reals(x, 4, "input quaternion"))
     _emit_rows("points", _hopf_rows(variant, _rows(doc.pop("inputs"), 4, row, pairs)))
     return EXIT_OK
 
 
-def _hopf_rows(variant: HopfVariant, rows: np.ndarray) -> list[np.ndarray]:
+def _hopf_rows(variant: HopfVariant, rows: list[np.ndarray]) -> list[np.ndarray]:
     """The Hopf map on rows (Re z, Im z, Re w, Im w), quaternion or pair."""
     hopf = MAPS[variant]
     return _evaluate(rows, hopf.columns, lambda r: hopf.scalar(to_complex_pair(Quaternion(*r))))
@@ -471,7 +473,7 @@ def _hopf_rows(variant: HopfVariant, rows: np.ndarray) -> list[np.ndarray]:
 def _cmd_lift(args) -> int:
     doc = _load_doc(args.infile, 3)
     _reject_unknown(doc, {"points"})
-    if "points" not in doc or not isinstance(doc["points"], (list, np.ndarray)):
+    if "points" not in doc or not isinstance(doc["points"], list):
         raise ParseError("lift needs a points list")
     variant = HopfVariant(args.variant)
     # the fallback renormalizes each row too, so warnings keep input order
@@ -500,7 +502,7 @@ def _cmd_fiber(args) -> int:
             m = np.arange(start, min(start + _BLOCK, args.count))
             v = fiber_columns(variant, lift, m, args.count)
             rows = np.column_stack((v.z.real, v.z.imag, v.w.real, v.w.imag))
-            errors = np.concatenate(_hopf_rows(variant, rows)) - base
+            errors = np.concatenate(_hopf_rows(variant, [rows])) - base
             max_err = max(max_err, vector_norm(errors.T).max().item())
             yield rows
 
@@ -510,7 +512,7 @@ def _cmd_fiber(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    reports = run_all(args.samples, args.seed, args.tolerance, args.check or CATALOG)
+    reports = verify.run_all(args.samples, args.seed, args.tolerance, args.check or verify.CATALOG)
     _emit({"reports": [r.to_dict() for r in reports]})
     ok = all(r.failures == 0 for r in reports)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from goldens import CHILD_ENV, CONVERT_IN, FIBER_IN, ROTATE_IN, check_golden, run_cli
+from goldens import CASES, CHILD_ENV, CONVERT_IN, FIBER_IN, GOLDEN, ROTATE_IN, check_golden, run_cli
 from snapshot import run_main, unit_rows
 
 
@@ -43,6 +43,41 @@ def test_fiber_golden():
 
 def test_verify_golden():
     check_golden("verify.json")
+
+
+VERIFY_NAMES = {"CATALOG", "CheckReport", "DiagramCheck", "run_all", "run_check"}
+# cli.main on each golden case in turn, in one process; after each, whether
+# hopfrot.verify has been run, read without loading it
+LAZY_CHILD = """
+import io, json, sys
+from hopfrot import cli
+verify = sys.modules["hopfrot.verify"]
+for args, stdin in json.loads(sys.argv[1]):
+    sys.stdin, sys.stdout = io.StringIO(stdin), io.StringIO()
+    code = cli.main(args)
+    print(json.dumps([code, sys.stdout.getvalue(), "run_all" in object.__getattribute__(verify, "__dict__")]),
+          file=sys.__stdout__)
+"""
+
+
+def test_only_convert_and_verify_run_the_harness():
+    names = ["rotate.json", "hopf.json", "lift.json", "fiber.json", "convert.json", "verify.json"]
+    res = subprocess.run([sys.executable, "-c", LAZY_CHILD, json.dumps([CASES[n] for n in names])],
+                         capture_output=True, text=True, env=CHILD_ENV)
+    assert res.returncode == 0, res.stderr
+    runs = [json.loads(line) for line in res.stdout.splitlines()]
+    assert runs == [[0, (GOLDEN / n).read_text(), n in ("convert.json", "verify.json")] for n in names]
+
+
+def test_package_lists_the_verify_names():
+    import hopfrot
+
+    star = {}
+    exec("from hopfrot import *", star)
+    assert VERIFY_NAMES <= set(dir(hopfrot)) & set(star)
+    assert all(star[name] is getattr(hopfrot.verify, name) for name in VERIFY_NAMES)
+    with pytest.raises(AttributeError, match="no attribute 'encode'"):
+        hopfrot.encode
 
 
 def test_rotate_conventions_agree():

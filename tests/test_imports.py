@@ -1,7 +1,8 @@
 """Every name a module of src/ or tests/ imports is referenced in it, every
 private module-level name of src/ is read somewhere in src/, and every one
 of tests/ somewhere in src/ or tests/; no module of src/ squares with ** 2
-or uses pow or np.linalg.norm, and only its unit guards raise NotUnit."""
+or uses pow or np.linalg.norm, only its unit guards raise NotUnit, and none
+imports hopfrot.verify, or names from it, at module level."""
 
 import ast
 from collections import Counter
@@ -132,3 +133,32 @@ def test_no_unread_private_names():
     tests = sorted((ROOT / "tests").glob("*.py"))
     assert unread_privates(src) == []
     assert [u for u in unread_privates(src + tests) if u.startswith("tests/")] == []
+
+
+def module_level(node: ast.AST):
+    """The nodes under `node` that run when its module is imported: all but
+    those in function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from module_level(child)
+
+
+def verify_imports(path: Path) -> list[str]:
+    """"file:line code" for each import at module level of `path` that runs
+    the lazily loaded hopfrot.verify: of names from it, or of the module by
+    its dotted name, which reads its __spec__."""
+    rel = path.relative_to(ROOT)
+    return [
+        f"{rel}:{node.lineno} {ast.unparse(node)}"
+        for node in module_level(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.ImportFrom) and node.module in ("verify", "hopfrot.verify"))
+        or (isinstance(node, ast.Import) and "hopfrot.verify" in [alias.name for alias in node.names])
+    ]
+
+
+def test_verify_is_not_imported_at_module_level():
+    # __init__ registers the lazy module and cli holds the module object
+    # (from . import verify), so only convert and verify compile and run it
+    paths = sorted((ROOT / "src" / "hopfrot").glob("*.py"))
+    assert [u for p in paths for u in verify_imports(p)] == []
