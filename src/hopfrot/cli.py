@@ -7,27 +7,31 @@ radians unless --degrees is given; the axis may be off unit norm by up to
 1e-6 and is renormalized with a warning (the library itself stays
 strict).
 
-rotate, hopf and lift read their document a 64 KB chunk at a time and
-their rows a slice at a time (_scan), so they never hold its text whole;
-stdin's chunks are copied to an unnamed temporary file as they are read.
-Rows stay the float64 block _scan made of each slice until evaluated.
-A document _scan hands back is read whole again, from that file and the
-rest of stdin or from --in FILE, by json.loads and row by row, so the
+Every command reads its document as one seekable text stream (_source):
+--in FILE and a seekable stdin (a regular file) in place, any other stdin
+(a pipe) copied whole to an unnamed temporary file first.  rotate, hopf
+and lift read it a 64 KB chunk at a time and their rows a slice at a time
+(_scan), so they never hold its text whole.  Rows stay the float64 block
+_scan made of each slice until evaluated.  A document _scan hands back is
+read whole again from its start by json.loads and row by row, so the
 first bad row reports its error.  They and fiber evaluate (by the column
 forms, branches included), renormalize and write rows up to 2048 at a
 time.  A column form is not finite only where the scalar function raises
 or its result overflows; the first such row ends the command with the
 scalar call's error.  Output, warnings and errors are the scalar calls',
-byte for byte.  A closed stdout pipe is a usage error.
+byte for byte.  A closed stdin is a read error, a closed stdout or stdout
+pipe an output error (exit 2); a closed stderr changes nothing else.
 """
 
 from __future__ import annotations
 
 import argparse
-import codecs
+import contextlib
+import io
 import json
 import math
 import os
+import shutil
 import sys
 import tempfile
 from dataclasses import astuple
@@ -36,7 +40,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from . import verify  # lazily loaded: only convert and verify run it
+from . import verify  # lazily loaded: only verify runs it
 from .errors import DomainError, UnknownCheck
 from .hopf import (
     LIFTS,
@@ -48,7 +52,7 @@ from .hopf import (
     spherical_lift_columns,
 )
 from .quat import ComplexPair, Quaternion, require_unit, to_complex_pair, vector_norm
-from .rotations import AxisAngle, gb, gq, rotate, to_axis_angle
+from .rotations import AxisAngle, encode, gb, gq, rotate, to_axis_angle
 from .su2 import act_on_vector, quat_from_su2, su2_from_quat
 
 RENORM_BAND = 1e-6
@@ -72,17 +76,15 @@ class ParseError(ValueError):
 
 def _load_doc(path: str | None, width: int = 0, pairs: bool = False) -> dict:
     """The input document.  With `width`, _scan reads it where it can, a
-    chunk at a time, with each list of rows of that width as blocks;
-    else json.loads, from its whole text."""
+    chunk at a time, with each list of rows of that width as blocks; else
+    json.loads, from its whole text, which it decodes from its start."""
     try:
-        if path is None:
-            doc = _stdin_doc(width, pairs) if width else json.loads(sys.stdin.read())
-        else:
-            with open(path, "r", encoding="utf-8") as f:
-                doc = _scan(f.read, width, pairs) if width else None
-            if doc is None:  # the whole text, read again
-                with open(path, "r", encoding="utf-8") as f:
-                    doc = json.loads(f.read())
+        with _source(path) as f:
+            start = f.tell()
+            doc = _scan(f.read, width, pairs) if width else None
+            if doc is None:
+                f.seek(start)
+                doc = json.loads(f.read())
     # ValueError: bad JSON, UTF-8 or int literal; RecursionError: too deeply nested
     except (OSError, ValueError, RecursionError) as e:
         raise ParseError(f"cannot read input document: {e}") from e
@@ -91,45 +93,34 @@ def _load_doc(path: str | None, width: int = 0, pairs: bool = False) -> dict:
     return doc
 
 
-def _stdin_doc(width: int, pairs: bool):
-    """stdin's document, by _scan from chunks of its bytes, each copied as
-    it is read to an unnamed temporary file.  If _scan hands it back, or
-    no such file can be made, json.loads takes the whole text: that file's
-    bytes and the rest of stdin's, decoded at once as sys.stdin.read()
-    decodes them, so that a codec error names the same offset."""
+@contextlib.contextmanager
+def _source(path: str | None):
+    """The document's text as a seekable stream: FILE, or a seekable stdin,
+    in place; else stdin's bytes copied whole to an unnamed temporary file,
+    or its whole text if no such file can be made or stdin has no bytes."""
     f = sys.stdin
-    if getattr(f, "buffer", None) is not None:  # decoded here, to know each byte's offset
-        read, codec = f.buffer.read, (f.encoding, f.errors)
-    else:  # a text stream: its characters as bytes that decode back to them
-        codec = ("utf-8", "surrogatepass")
-
-        def read(n=-1):
-            return f.read(n).encode(*codec)
-
-    try:
-        spool = tempfile.TemporaryFile()
-    except OSError:
-        return json.loads(read().decode(*codec))
-    decode = codecs.getincrementaldecoder(codec[0])(codec[1]).decode
-
-    def chunk(n):
-        while True:
-            data = read(n)
-            spool.write(data)
-            text = decode(data, not data)
-            if text or not data:
-                return text
-
-    with spool:
-        doc = _scan(chunk, width, pairs)
-        if doc is not None:
-            return doc
-        spool.seek(0)
-        text = spool.read()
-    return json.loads((text + read()).decode(*codec))
+    if path is not None:
+        with open(path, "r", encoding="utf-8") as f:
+            yield f
+    elif f is None:
+        raise OSError("stdin is closed")
+    elif f.seekable():
+        yield f
+    else:
+        try:
+            spool = tempfile.TemporaryFile() if hasattr(f, "buffer") else None
+        except OSError:
+            spool = None
+        if spool is None:
+            yield io.StringIO(f.read())
+        else:
+            with spool:
+                shutil.copyfileobj(f.buffer, spool)
+                spool.seek(0)
+                yield io.TextIOWrapper(spool, f.encoding, f.errors, newline="")
 
 
-_SLICE = 1 << 16  # characters of rows per json.loads call, and of each read (bytes of stdin)
+_SLICE = 1 << 16  # characters of rows per json.loads call, and of each read
 _ws = json.decoder.WHITESPACE.match
 _scan_once = json.decoder.JSONDecoder().scan_once
 
@@ -303,6 +294,12 @@ def _rows(items: list, width: int, row, pairs: bool = False) -> list[np.ndarray]
     return blocks
 
 
+def _say(text: str) -> None:
+    """Write text to stderr, unless stderr is closed."""
+    if sys.stderr is not None:
+        sys.stderr.write(text)
+
+
 def _renormalized(rows: list[np.ndarray], what: str) -> list[np.ndarray]:
     """Scale to unit norm, in place, the rows within RENORM_BAND of it,
     each with a warning, in order; a row further off is a domain error."""
@@ -311,11 +308,11 @@ def _renormalized(rows: list[np.ndarray], what: str) -> list[np.ndarray]:
         warnings = []  # written a block at once: stderr is line buffered
         for n in norms.tolist():
             if n == 0.0 or abs(n - 1.0) > RENORM_BAND:
-                sys.stderr.write("".join(warnings))
+                _say("".join(warnings))
                 raise DomainError(f"{what} norm {n!r} is outside the renormalization band")
             if n != 1.0:
                 warnings.append(f"warning: renormalizing {what} (norm {n!r})\n")
-        sys.stderr.write("".join(warnings))
+        _say("".join(warnings))
         block /= norms.reshape(-1, 1)
     return rows
 
@@ -366,7 +363,7 @@ def _evaluate(rows: list[np.ndarray], columns, scalar) -> list[np.ndarray]:
 
 
 def _emit(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, default=verify.encode, allow_nan=False) + "\n")
+    sys.stdout.write(json.dumps(doc, sort_keys=True, default=encode, allow_nan=False) + "\n")
 
 
 def _emit_rows(key: str, blocks, pairs=False, rest=dict) -> None:
@@ -591,20 +588,20 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
+    if sys.stdout is None:  # closed when the process started
+        _say("error: cannot write output: stdout is closed\n")
+        return EXIT_USAGE
     try:
         code = args.func(args)
         sys.stdout.flush()  # so that a closed pipe is found here, not at exit
         return code
-    except (ParseError, UnknownCheck) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except DomainError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DOMAIN
+    except (ParseError, UnknownCheck, DomainError) as e:
+        _say(f"error: {e}\n")
+        return EXIT_DOMAIN if isinstance(e, DomainError) else EXIT_USAGE
     except BrokenPipeError as e:
         # nothing more reaches the reader, not even what is buffered at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write output: {e}", file=sys.stderr)
+        _say(f"error: cannot write output: {e}\n")
         return EXIT_USAGE
 
 

@@ -120,3 +120,18 @@ def to_axis_angle(q: Quaternion) -> AxisAngle:
         return AxisAngle(0.0 if q.x0 > 0 else 2.0 * math.pi, (0.0, 0.0, 1.0))
     theta = 2.0 * math.atan2(s, q.x0)
     return AxisAngle(theta, (q.x1 / s, q.x2 / s, q.x3 / s))
+
+
+def encode(x):
+    """JSON form of the package's values; pass as json.dump(s)(default=encode)."""
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if isinstance(x, Quaternion):
+        return [x.x0, x.x1, x.x2, x.x3]
+    if isinstance(x, (ComplexPair, SU2Matrix)):
+        return {"z": [x.z.real, x.z.imag], "w": [x.w.real, x.w.imag]}
+    if isinstance(x, AxisAngle):
+        return {"theta": x.theta, "axis": list(x.axis)}
+    if isinstance(x, complex):
+        return [x.real, x.imag]
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")

@@ -57,7 +57,7 @@ from .quat import (
     transpose_map,
     vector_norm,
 )
-from .rotations import AxisAngle, gb, gq, matvec_as_quat
+from .rotations import AxisAngle, encode, gb, gq, matvec_as_quat
 from .sphere import canonical, project, stereo3_inv_ratio
 from .su2 import SU2Matrix, act_on_vector, quat_from_su2, su2_multiply
 
@@ -97,21 +97,6 @@ class CheckReport:
     def to_dict(self) -> dict:
         finite = math.isfinite(self.max_deviation)  # strict JSON has no NaN or Infinity
         return dict(asdict(self), max_deviation=self.max_deviation if finite else None)
-
-
-def encode(x):
-    """JSON form of the package's values; pass as json.dump(s)(default=encode)."""
-    if isinstance(x, np.ndarray):
-        return x.tolist()
-    if isinstance(x, Quaternion):
-        return [x.x0, x.x1, x.x2, x.x3]
-    if isinstance(x, (ComplexPair, SU2Matrix)):
-        return {"z": [x.z.real, x.z.imag], "w": [x.w.real, x.w.imag]}
-    if isinstance(x, AxisAngle):
-        return {"theta": x.theta, "axis": list(x.axis)}
-    if isinstance(x, complex):
-        return [x.real, x.imag]
-    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------

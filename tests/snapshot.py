@@ -9,8 +9,9 @@ imports hopfrot from SRC_DIR and runs `hopfrot.cli.main` in process on
 - a seeded corpus of malformed and edge documents for all six
   subcommands (--edge documents);
 - fixed documents that the CLI's slice scan of row lists must hand to
-  json.loads, and documents of three and four slices, each read from
-  stdin and from a file (--in);
+  json.loads, and documents of three and four slices, each read from a
+  seekable stdin, from a file (--in) and from a stdin that cannot seek,
+  as a pipe's;
 - `fiber --count 2049`, one point more than a block, for each variant
   over fixed bases;
 - `verify` over the whole catalog at --samples samples: seeds 0, 1 and 7;
@@ -57,13 +58,23 @@ VARIANTS = ["classic", "quat", "bloch"]
 
 
 FILE = "FILE"  # in argv, a temporary file that holds the stdin text instead
+PIPE = "PIPE"  # in argv, left out: stdin cannot seek, as a pipe cannot
+
+
+class Pipe(io.BytesIO):
+    """Bytes that cannot be sought, as a pipe's."""
+
+    def seekable(self):
+        return False
 
 
 def run_main(argv, stdin, pole_guard=None, max_block=None):
     """cli.main in process: (exit code, stdout, stderr); `pole_guard` and
     `max_block`, if given, stand in for the harness's pole guard and its
-    largest block during the call.  With FILE in argv, the text is read
-    from a file of that name instead of stdin."""
+    largest block during the call.  stdin is a StringIO of the text; with
+    FILE in argv, a file of that name holds the text instead, and with PIPE
+    in argv, stdin is its UTF-8 bytes (a surrogate-escaped character as its
+    byte) in a Pipe, decoded back."""
     from hopfrot import cli, verify  # here, after main() has put SRC_DIR on sys.path
 
     if FILE in argv:
@@ -74,6 +85,9 @@ def run_main(argv, stdin, pole_guard=None, max_block=None):
             return run_main([path if a == FILE else a for a in argv], "", pole_guard, max_block)
     saved = sys.stdin, sys.stdout, sys.stderr, verify._POLE_GUARD, verify._MAX_BLOCK
     sys.stdin, sys.stdout, sys.stderr = io.StringIO(stdin), io.StringIO(), io.StringIO()
+    if PIPE in argv:
+        argv = [a for a in argv if a != PIPE]
+        sys.stdin = io.TextIOWrapper(Pipe(stdin.encode("utf-8", "surrogateescape")), "utf-8", "surrogateescape", "\n")
     if pole_guard is not None:
         verify._POLE_GUARD = pole_guard
     if max_block is not None:
@@ -573,6 +587,7 @@ def cases(edge=1000, seed=0, points=20000, samples=300, batch_seeds=(1, 2), benc
     for i, (argv, stdin) in enumerate(SCAN_EDGES + sliced_cases()):
         out.append((f"scan {i}", argv, stdin))
         out.append((f"scan {i} from a file", [*argv, "--in", FILE], stdin))
+        out.append((f"scan {i} from a pipe", [*argv, PIPE], stdin))
     for v in VARIANTS:
         for i, base in enumerate(FIBER_BASES):
             argv = ["fiber", "--variant", v, "--count", str(FIBER_COUNT)]

@@ -34,9 +34,11 @@ from snapshot import (
     BATCH,
     FILE,
     PAIR,
+    PIPE,
     ROTATE,
     SCAN_EDGES,
     VARIANTS,
+    Pipe,
     batch_document,
     run_main,
     sliced_cases,
@@ -387,8 +389,9 @@ def test_sliced_documents_match_scalar_calls(index):
 
 NO_DOC = "error: cannot read input document: "
 # documents at the edges of the reader, and the exit code, stdout and
-# stderr that reading the whole text at once gave for each, from stdin and
-# (where it differs) from a file of its text's UTF-8 bytes
+# stderr that reading the whole text at once gave for each, from stdin, a
+# seekable one or one that cannot seek, and (where it differs) from a file
+# of its text's UTF-8 bytes
 HAND_MADE = {
     "bom": (["lift", "--variant", "quat"], '\ufeff{"points": [[1, 0, 0]]}',
             (2, "", NO_DOC + "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)\n")),
@@ -425,6 +428,7 @@ HAND_MADE = {
 def test_hand_made_documents_give_what_the_whole_text_gave(case, tmp_path):
     argv, text, got, *from_file = case
     assert run_main(argv, text) == got
+    assert run_main([*argv, PIPE], text) == got
     path = tmp_path / "doc.json"
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
     assert run_main([*argv, "--in", str(path)], "") == (from_file or [got])[0]
@@ -434,7 +438,7 @@ def test_hand_made_documents_give_what_the_whole_text_gave(case, tmp_path):
 def test_stdin_is_read_whole_without_a_temporary_file(name, monkeypatch, tmp_path):
     argv, text, got, *_ = HAND_MADE[name]
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
-    assert run_main(argv, text) == got
+    assert run_main([*argv, PIPE], text) == got
 
 
 def test_a_failed_write_to_the_temporary_file_is_a_read_error(monkeypatch):
@@ -443,8 +447,24 @@ def test_a_failed_write_to_the_temporary_file_is_a_read_error(monkeypatch):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
     monkeypatch.setattr(tempfile, "TemporaryFile", Full)
-    assert run_main(["hopf", "--variant", "quat"], '{"inputs": [[1, 0, 0, 0]]}') == (
+    assert run_main(["hopf", "--variant", "quat", PIPE], '{"inputs": [[1, 0, 0, 0]]}') == (
         2, "", NO_DOC + "[Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("name", ["pair-keys", "unclosed", "escaped-byte-key", "deep"])
+def test_a_seekable_stdin_is_read_in_place(name, monkeypatch, capsys, tmp_path):
+    # a StringIO, and a regular file on stdin, are read where they are,
+    # never copied to a temporary file
+    argv, text, got, *from_file = HAND_MADE[name]
+    made = []
+    monkeypatch.setattr(tempfile, "TemporaryFile", lambda *args, **kwargs: made.append(args) or io.BytesIO())
+    assert run_main(argv, text) == got
+    path = tmp_path / "doc.json"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    with open(path, encoding="utf-8") as stdin:
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert (cli.main(argv), *capsys.readouterr()) == (from_file or [got])[0]
+    assert made == []
 
 
 def test_undecodable_byte_past_the_first_chunk_reports_its_offset(tmp_path):
@@ -765,10 +785,10 @@ def reader_documents(draw):
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much, HealthCheck.data_too_large])
 @given(reader_documents(), st.integers(1, 40))
 def test_reader_gives_json_loads_arrays_or_hands_back(case, cut):
-    # documents read from stdin as text, from stdin's bytes decoded with
-    # surrogateescape and strictly, and from a file, with slices (and
-    # reads) of 1-40 characters, so that cuts fall everywhere: multi-byte
-    # UTF-8 characters, keys, numbers and rows straddle them
+    # documents read from stdin as text, from stdin's bytes, seekable or
+    # not, decoded with surrogateescape and strictly, and from a file, with
+    # slices (and reads) of 1-40 characters, so that cuts fall everywhere:
+    # multi-byte UTF-8 characters, keys, numbers and rows straddle them
     width, pairs, text = case
     raw = text.encode("utf-8", "surrogateescape")
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
@@ -776,12 +796,13 @@ def test_reader_gives_json_loads_arrays_or_hands_back(case, cut):
         want = whole_text_doc(text, width, pairs)
         assert same_doc(read_doc(io.StringIO(text), width, pairs), want)
         for errors in ("surrogateescape", "strict"):
-            stdin = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors=errors, newline="\n")
             try:
                 want = whole_text_doc(raw.decode("utf-8", errors), width, pairs)
             except UnicodeDecodeError as e:
                 want = f"cannot read input document: {e}"
-            assert same_doc(read_doc(stdin, width, pairs), want)
+            for buffer in (io.BytesIO, Pipe):  # read in place, and through the temporary file
+                stdin = io.TextIOWrapper(buffer(raw), encoding="utf-8", errors=errors, newline="\n")
+                assert same_doc(read_doc(stdin, width, pairs), want)
         path = os.path.join(tmp, "doc.json")
         with open(path, "wb") as f:
             f.write(raw)

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import subprocess
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from goldens import CASES, CHILD_ENV, CONVERT_IN, FIBER_IN, GOLDEN, ROTATE_IN, check_golden, run_cli
+from hopfrot import cli
 from snapshot import run_main, unit_rows
 
 
@@ -60,13 +62,13 @@ for args, stdin in json.loads(sys.argv[1]):
 """
 
 
-def test_only_convert_and_verify_run_the_harness():
+def test_only_verify_runs_the_harness():
     names = ["rotate.json", "hopf.json", "lift.json", "fiber.json", "convert.json", "verify.json"]
     res = subprocess.run([sys.executable, "-c", LAZY_CHILD, json.dumps([CASES[n] for n in names])],
                          capture_output=True, text=True, env=CHILD_ENV)
     assert res.returncode == 0, res.stderr
     runs = [json.loads(line) for line in res.stdout.splitlines()]
-    assert runs == [[0, (GOLDEN / n).read_text(), n in ("convert.json", "verify.json")] for n in names]
+    assert runs == [[0, (GOLDEN / n).read_text(), n == "verify.json"] for n in names]
 
 
 def test_package_lists_the_verify_names():
@@ -254,3 +256,73 @@ class TestExitCodes:
     def test_verify_success_is_0(self):
         res = run_cli(["verify", "--check", "rephrase", "--samples", "5"])
         assert res.returncode == 0
+
+
+# a descriptor closed when the process starts (the shell's "<&-", ">&-" and
+# "2>&-") leaves Python's sys.stdin, sys.stdout or sys.stderr None
+CLOSE = {"stdin": "<&-", "stdout": ">&-", "stderr": "2>&-"}
+
+
+def main_closed(stream, args, stdin=""):
+    """cli.main in process with sys.<stream> None: (exit code, stdout,
+    stderr), "" for the closed one."""
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(stdin), io.StringIO(), io.StringIO()
+    out, err = sys.stdout, sys.stderr
+    setattr(sys, stream, None)
+    try:
+        return cli.main(args), out.getvalue(), err.getvalue()
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+
+
+def run_closed(stream, args, stdin=""):
+    """hopfrot in a child whose `stream` the shell closed: (exit code,
+    stdout, stderr)."""
+    res = subprocess.run(["sh", "-c", f'exec "$@" {CLOSE[stream]}', "sh", sys.executable, "-m", "hopfrot", *args],
+                         input=stdin, capture_output=True, text=True, env=CHILD_ENV)
+    return res.returncode, res.stdout, res.stderr
+
+
+class TestClosedStreams:
+    @pytest.mark.parametrize("args", [["rotate"], ["hopf", "--variant", "quat"], ["convert"]], ids=" ".join)
+    def test_closed_stdin_is_a_read_error(self, args):
+        want = (2, "", "error: cannot read input document: stdin is closed\n")
+        assert main_closed("stdin", args) == want
+        assert run_closed("stdin", args) == want
+
+    def test_closed_stdin_is_not_read_by_in_file_or_verify(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(ROTATE_IN)
+        for args in (["rotate", "--in", str(path)], CASES["verify.json"][0]):
+            want = run_main(args, "")
+            assert want[0] == 0
+            assert main_closed("stdin", args) == want
+            assert run_closed("stdin", args) == want
+
+    @pytest.mark.parametrize("name", ["rotate", "verify"])
+    def test_closed_stdout_is_an_output_error(self, name, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(ROTATE_IN)
+        args = ["rotate", "--in", str(path)] if name == "rotate" else CASES["verify.json"][0]
+        want = (2, "", "error: cannot write output: stdout is closed\n")
+        assert main_closed("stdout", args) == want
+        assert run_closed("stdout", args) == want
+
+    @pytest.mark.parametrize(
+        "args,stdin,code",
+        [
+            (["rotate"], ROTATE_IN, 0),
+            (["lift", "--variant", "bloch"], '{"points": [[0, 0, 1.0000001], [0.6, 0.8, 0]]}', 0),
+            (["convert"], '{"quaternion": [1.0000001, 0, 0, 0]}', 0),
+            (["fiber", "--variant", "quat", "--count", "2"], '{"base": [0, 0, 1.0000001]}', 0),
+            (["lift", "--variant", "quat"], '{"points": [[0, 0, 1.0000001], [0, 0, 2]]}', 3),
+            (["hopf", "--variant", "quat"], "not json", 2),
+        ],
+        ids=["rotate", "lift-warns", "convert-warns", "fiber-warns", "domain-error", "parse-error"],
+    )
+    def test_closed_stderr_changes_no_exit_code_or_output(self, args, stdin, code):
+        want = run_main(args, stdin)
+        assert want[0] == code
+        assert main_closed("stderr", args, stdin) == (*want[:2], "")
+        assert run_closed("stderr", args, stdin) == (*want[:2], "")
