@@ -7,20 +7,20 @@ radians unless --degrees is given; the axis may be off unit norm by up to
 1e-6 and is renormalized with a warning (the library itself stays
 strict).
 
-Every command reads its document as one seekable text stream (_source):
---in FILE and a seekable stdin (a regular file) in place, any other stdin
-(a pipe) copied whole to an unnamed temporary file first.  rotate, hopf
-and lift read it a 64 KB chunk at a time and their rows a slice at a time
-(_scan), so they never hold its text whole.  Rows stay the float64 block
-_scan made of each slice until evaluated.  A document _scan hands back is
-read whole again from its start by json.loads and row by row, so the
-first bad row reports its error.  They and fiber evaluate (by the column
-forms, branches included), renormalize and write rows up to 2048 at a
-time.  A column form is not finite only where the scalar function raises
-or its result overflows; the first such row ends the command with the
-scalar call's error.  Output, warnings and errors are the scalar calls',
-byte for byte.  A closed stdin is a read error, a closed stdout or stdout
-pipe an output error (exit 2); a closed stderr changes nothing else.
+Every command reads its document, --in FILE or stdin, as one seekable text
+stream (_source): in place if it can seek, else (a pipe or FIFO) copied
+whole to an unnamed temporary file.  rotate, hopf and lift read it a 64 KB
+chunk at a time and their rows a slice at a time (_scan), so they never
+hold its text whole.  Rows stay the float64 block _scan made of each slice
+until evaluated.  A document _scan hands back is read whole again from its
+start by json.loads and row by row, so the first bad row reports its
+error.  They and fiber evaluate (by the column forms, branches included),
+renormalize and write rows up to 2048 at a time.  A column form is not
+finite only where the scalar function raises or its result overflows; the
+first such row ends the command with the scalar call's error.  Output,
+warnings and errors are the scalar calls', byte for byte.  A closed stdin
+is a read error; a closed stdout, or any failed write to it, an output
+error (exit 2); a closed or failing stderr loses only its diagnostics.
 """
 
 from __future__ import annotations
@@ -95,29 +95,27 @@ def _load_doc(path: str | None, width: int = 0, pairs: bool = False) -> dict:
 
 @contextlib.contextmanager
 def _source(path: str | None):
-    """The document's text as a seekable stream: FILE, or a seekable stdin,
-    in place; else stdin's bytes copied whole to an unnamed temporary file,
-    or its whole text if no such file can be made or stdin has no bytes."""
-    f = sys.stdin
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as f:
+    """FILE, or stdin, as a seekable text stream: in place if it can seek;
+    else its bytes copied to an unnamed temporary file and decoded as it
+    decodes them, or its whole text if there is no such file or no bytes."""
+    opened = open(path, "r", encoding="utf-8") if path is not None else contextlib.nullcontext(sys.stdin)
+    with opened as f:
+        if f is None:
+            raise OSError("stdin is closed")
+        if f.seekable():
             yield f
-    elif f is None:
-        raise OSError("stdin is closed")
-    elif f.seekable():
-        yield f
-    else:
+            return
         try:
             spool = tempfile.TemporaryFile() if hasattr(f, "buffer") else None
         except OSError:
             spool = None
         if spool is None:
             yield io.StringIO(f.read())
-        else:
-            with spool:
-                shutil.copyfileobj(f.buffer, spool)
-                spool.seek(0)
-                yield io.TextIOWrapper(spool, f.encoding, f.errors, newline="")
+            return
+        with spool:
+            shutil.copyfileobj(f.buffer, spool)
+            spool.seek(0)
+            yield io.TextIOWrapper(spool, f.encoding, f.errors, newline="")
 
 
 _SLICE = 1 << 16  # characters of rows per json.loads call, and of each read
@@ -285,25 +283,25 @@ def _bulk(rows: list, width: int, pairs: bool = False) -> np.ndarray | None:
 
 
 def _rows(items: list, width: int, row, pairs: bool = False) -> list[np.ndarray]:
-    """Rows as the blocks _load_doc read, or decoded by _bulk as one; if
-    one is bad, `row` decodes each in turn, and the first bad one raises."""
+    """Rows as views of _BLOCK or fewer of the blocks _load_doc read or of
+    _bulk's one array; if one is bad, `row` decodes each and the first raises."""
     blocks = items if items and type(items[0]) is np.ndarray else [_bulk(items, width, pairs)]
     if blocks[0] is None:  # some row is bad
         for x in items:
             row(x)
-    return blocks
+    return [b[start : start + _BLOCK] for b in blocks for start in range(0, len(b), _BLOCK)]
 
 
 def _say(text: str) -> None:
-    """Write text to stderr, unless stderr is closed."""
-    if sys.stderr is not None:
+    """Write text to stderr; if it is closed or fails, the text is lost."""
+    with contextlib.suppress(AttributeError, OSError):  # AttributeError: stderr is None
         sys.stderr.write(text)
 
 
 def _renormalized(rows: list[np.ndarray], what: str) -> list[np.ndarray]:
     """Scale to unit norm, in place, the rows within RENORM_BAND of it,
     each with a warning, in order; a row further off is a domain error."""
-    for block in (b[start : start + _BLOCK] for b in rows for start in range(0, len(b), _BLOCK)):
+    for block in rows:
         norms = vector_norm(block.T)
         warnings = []  # written a block at once: stderr is line buffered
         for n in norms.tolist():
@@ -339,7 +337,7 @@ def _axis_angle_of(x, degrees: bool) -> AxisAngle:
 
 def _evaluate(rows: list[np.ndarray], columns, scalar) -> list[np.ndarray]:
     """A map by its column form on every row of the (n, k) blocks `rows`,
-    each popped once evaluated: its results, _BLOCK rows or fewer a block.
+    each popped once evaluated: its results, a block for each.
 
     `columns` gives the bits of `scalar`, the map's scalar function of one
     row, wherever `scalar` returns, and NaN or infinity where it raises
@@ -350,15 +348,14 @@ def _evaluate(rows: list[np.ndarray], columns, scalar) -> list[np.ndarray]:
     outs = []
     with np.errstate(all="ignore"):
         while rows:
-            arr = rows.pop(0)
-            for start in range(0, len(arr), _BLOCK):
-                out = np.column_stack(np.broadcast_arrays(*columns(*arr[start : start + _BLOCK].T)))
-                bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
-                if len(bad):
-                    row = arr[start + bad[0]].tolist()
-                    scalar(row)
-                    raise DomainError(f"row {sum(map(len, outs)) + bad[0]} {row}: the result overflows the float range")
-                outs.append(out)
+            block = rows.pop(0)
+            out = np.column_stack(np.broadcast_arrays(*columns(*block.T)))
+            bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+            if len(bad):
+                row = block[bad[0]].tolist()
+                scalar(row)
+                raise DomainError(f"row {sum(map(len, outs)) + bad[0]} {row}: the result overflows the float range")
+            outs.append(out)
     return outs
 
 
@@ -593,13 +590,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         code = args.func(args)
-        sys.stdout.flush()  # so that a closed pipe is found here, not at exit
+        sys.stdout.flush()  # so that a failed write is found here, not at exit
         return code
     except (ParseError, UnknownCheck, DomainError) as e:
         _say(f"error: {e}\n")
         return EXIT_DOMAIN if isinstance(e, DomainError) else EXIT_USAGE
-    except BrokenPipeError as e:
-        # nothing more reaches the reader, not even what is buffered at exit
+    except OSError as e:  # from a write to stdout: _load_doc and _say catch their own
+        # nothing more reaches stdout, not even what is buffered at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         _say(f"error: cannot write output: {e}\n")
         return EXIT_USAGE

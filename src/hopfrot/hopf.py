@@ -16,7 +16,6 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-import operator
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -35,6 +34,7 @@ from .quat import (
     multiply,
     phase,
     require_finite,
+    require_index,
     require_unit,
     to_complex_pair,
     unit_norm,
@@ -223,9 +223,7 @@ def fiber_points(p, fq, fb):
 def fiber_sample(variant: HopfVariant, base, count: int) -> list[ComplexPair]:
     """`count` points of the fiber over `base`, evenly in phase: fiber_columns
     at m = 0 .. count - 1.  count = 1 returns exactly the canonical lift."""
-    if isinstance(count, bool) or not hasattr(type(count), "__index__"):  # what operator.index takes
-        raise ValueError(f"count must be an integer, not {count!r}")
-    count = operator.index(count)
+    count = require_index(count, "count must be an integer")
     if count < 1:
         raise ValueError("count must be >= 1")
     v = fiber_columns(variant, LIFTS[variant].scalar(base), np.arange(count), count)

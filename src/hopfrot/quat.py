@@ -331,6 +331,13 @@ def require_finite(t, what: str):
     return t
 
 
+def require_index(x, rule: str) -> int:
+    """x as a Python int, if operator.index takes it and it is no bool; else ValueError."""
+    if isinstance(x, bool) or not hasattr(type(x), "__index__"):
+        raise ValueError(f"{rule}, not {x!r}")
+    return operator.index(x)
+
+
 def require_unit(q: Quaternion) -> Quaternion:
     unit_norm(vector_norm((q.x0, q.x1, q.x2, q.x3)), "quaternion")
     return q

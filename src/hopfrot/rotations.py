@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ZeroVector
+from .errors import ZeroVector
 from .hopf import bloch, conjugate_action, fiber_points, quat_hopf
 from .quat import (
     EPS_NORM,
@@ -42,8 +42,7 @@ class AxisAngle:
     axis: tuple[float, float, float]
 
     def __post_init__(self):
-        if not math.isfinite(self.theta):
-            raise DomainError(f"angle {self.theta!r} is not finite")
+        require_finite(self.theta, "angle")
         unit_norm(vector_norm(self.axis), "axis")
 
 

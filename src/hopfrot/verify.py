@@ -34,7 +34,6 @@ import functools
 import importlib.resources
 import json
 import math
-import operator
 import zlib
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, NamedTuple
@@ -52,6 +51,7 @@ from .quat import (
     from_complex_pair,
     multiply,
     phase,
+    require_index,
     to_complex_pair,
     transpose,
     transpose_map,
@@ -74,11 +74,9 @@ class DiagramCheck:
     def __post_init__(self):
         if self.name not in CHECKS:
             raise UnknownCheck(self.name)
-        for field in ("samples", "seed"):  # what operator.index takes, but not a bool
-            x = getattr(self, field)
-            if isinstance(x, bool) or not hasattr(type(x), "__index__"):
-                raise ValueError(f"samples and seed must be integers, not {x!r}")
-            object.__setattr__(self, field, operator.index(x))  # a Python int, as JSON needs
+        for field in ("samples", "seed"):  # a Python int, as JSON needs
+            x = require_index(getattr(self, field), "samples and seed must be integers")
+            object.__setattr__(self, field, x)
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if not math.isfinite(self.tolerance) or self.tolerance <= 0:

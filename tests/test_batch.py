@@ -9,6 +9,7 @@ ends in a traceback or in non-strict JSON.
 """
 
 import cmath
+import contextlib
 import errno
 import io
 import json
@@ -17,6 +18,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 
 import numpy as np
@@ -135,10 +137,29 @@ def test_batch_matches_scalar_calls(index, seed):
     check_batch(*batch_document(index, seed))
 
 
-# rotate in both conventions, hopf classic and lift bloch
-@pytest.mark.parametrize("index", [0, 1, 2, 7], ids=[" ".join(BATCH[i][0][:3:2]) for i in (0, 1, 2, 7)])
-def test_batch_past_one_block_matches_scalar_calls(index):
-    check_batch(*batch_document(index, 1, cli._BLOCK + 1))
+# rotate in both conventions, hopf classic and lift bloch, as the reader's
+# blocks and, with a repeated key, as the one array of the whole text
+PAST_ONE_BLOCK = {
+    **{" ".join(BATCH[i][0][:3:2]): (i, False) for i in (0, 1, 2, 7)},
+    **{" ".join(BATCH[i][0][:3:2]) + " repeated-key": (i, True) for i in (0, 1, 2, 7)},
+}
+
+
+@pytest.mark.parametrize("index,repeated", PAST_ONE_BLOCK.values(), ids=PAST_ONE_BLOCK.keys())
+def test_batch_past_one_block_matches_scalar_calls(index, repeated):
+    if not repeated:
+        check_batch(*batch_document(index, 1, cli._BLOCK + 1))
+        return
+    # _scan hands the document back, and _rows cuts json.loads's rows into
+    # blocks of _BLOCK: the warnings of a lift cross both cuts
+    argv, doc = batch_document(index, 1, 2 * cli._BLOCK + 5)
+    key = "inputs" if argv[0] == "hopf" else "points"
+    if argv[0] == "lift":
+        off = [vector_norm(p) != 1.0 for p in doc[key]]
+        assert any(off[: cli._BLOCK]) and any(off[cli._BLOCK :])
+    text = '{"%s": [], %s' % (key, json.dumps(doc)[1:])
+    assert cli._scan(io.StringIO(text).read, *SCAN_ROWS[argv[0] if argv[0] != "hopf" else argv[2]]) is None
+    check_batch(argv, doc, text)
 
 
 FIBER_BASES = {
@@ -424,6 +445,24 @@ HAND_MADE = {
 }
 
 
+@contextlib.contextmanager
+def fed(fifo, data):
+    """`data` written to the named pipe `fifo` by a thread while the block
+    reads it; what the block leaves unread is dropped."""
+    def write():
+        with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as f:
+            f.write(data)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        yield
+    finally:  # a reader, so that a writer the block never met opens, and fails
+        os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+
+
 @pytest.mark.parametrize("case", HAND_MADE.values(), ids=HAND_MADE.keys())
 def test_hand_made_documents_give_what_the_whole_text_gave(case, tmp_path):
     argv, text, got, *from_file = case
@@ -432,6 +471,10 @@ def test_hand_made_documents_give_what_the_whole_text_gave(case, tmp_path):
     path = tmp_path / "doc.json"
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
     assert run_main([*argv, "--in", str(path)], "") == (from_file or [got])[0]
+    fifo = tmp_path / "doc.fifo"  # a FIFO, as --in reads one: through the temporary file
+    os.mkfifo(fifo)
+    with fed(fifo, path.read_bytes()):
+        assert run_main([*argv, "--in", str(fifo)], "") == (from_file or [got])[0]
 
 
 @pytest.mark.parametrize("name", ["pair-keys", "unclosed", "escaped-byte-key", "deep"])
@@ -481,6 +524,19 @@ def test_undecodable_byte_past_the_first_chunk_reports_its_offset(tmp_path):
         res = subprocess.run([sys.executable, "-m", "hopfrot", "lift", "--variant", "quat"], input=raw,
                              capture_output=True, env=dict(CHILD_ENV, PYTHONIOENCODING=encoding))
         assert (res.returncode, res.stdout, res.stderr.decode()) == (2, b"", stderr)
+
+
+@pytest.mark.parametrize("encoding", ["utf-8:strict", "utf-8:surrogateescape"])
+def test_undecodable_byte_past_the_first_chunk_of_an_in_file_pipe_reports_its_offset(encoding):
+    # --in /dev/stdin fed by a pipe is copied to the temporary file and
+    # decoded from there as --in decodes a file, strict UTF-8, however
+    # stdin would decode it
+    raw = ('{"points": [%s], "\udcff": 1}' % ", ".join(["[0.6, 0.8, 0.0]"] * 5000)).encode("utf-8", "surrogateescape")
+    assert raw.index(b"\xff") == 85014 > cli._SLICE
+    res = subprocess.run([sys.executable, "-m", "hopfrot", "lift", "--variant", "quat", "--in", "/dev/stdin"],
+                         input=raw, capture_output=True, env=dict(CHILD_ENV, PYTHONIOENCODING=encoding))
+    assert (res.returncode, res.stdout, res.stderr.decode()) == (
+        2, b"", NO_DOC + "'utf-8' codec can't decode byte 0xff in position 85014: invalid start byte\n")
 
 
 @pytest.mark.parametrize("variant", ["classic", "bloch"])

@@ -1,13 +1,14 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from goldens import CASES, CHILD_ENV, CONVERT_IN, FIBER_IN, GOLDEN, ROTATE_IN, check_golden, run_cli
+from goldens import CASES, CHILD_ENV, CONVERT_IN, FIBER_IN, GOLDEN, LIFT_IN, ROTATE_IN, check_golden, run_cli
 from hopfrot import cli
 from snapshot import run_main, unit_rows
 
@@ -326,3 +327,49 @@ class TestClosedStreams:
         assert want[0] == code
         assert main_closed("stderr", args, stdin) == (*want[:2], "")
         assert run_closed("stderr", args, stdin) == (*want[:2], "")
+
+
+def run_child(args, stdin, env=CHILD_ENV, **streams):
+    """hopfrot in a child fed `stdin` through a pipe, with stdout and stderr
+    captured unless `streams` gives them: (exit code, stdout, stderr)."""
+    res = subprocess.run([sys.executable, "-m", "hopfrot", *args], input=stdin, text=True, env=env,
+                         **{"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams})
+    return res.returncode, res.stdout, res.stderr
+
+
+# a device on which every write fails with ENOSPC
+FULL = "/dev/full"
+needs_full = pytest.mark.skipif(not os.path.exists(FULL), reason="no /dev/full")
+
+
+class TestStreamRules:
+    @pytest.mark.parametrize("name", [n for n in CASES if n != "verify.json"], ids=lambda n: n.split(".")[0])
+    def test_an_in_file_that_cannot_seek_is_read_as_stdin_is(self, name):
+        # /dev/stdin fed by a pipe stands for a FIFO or a process
+        # substitution: its bytes go through the temporary file
+        args, stdin = CASES[name]
+        want = run_main(args, stdin)
+        assert want[0] == 0
+        assert run_child([*args, "--in", "/dev/stdin"], stdin) == want
+
+    @needs_full
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("args,stdin", [(["verify", "--samples", "2"], ""), (["lift", "--variant", "quat"], LIFT_IN)],
+                             ids=["verify", "lift"])
+    def test_a_failed_write_to_stdout_is_an_output_error(self, args, stdin, unbuffered):
+        with open(FULL, "w") as full:
+            got = run_child(args, stdin, dict(CHILD_ENV, PYTHONUNBUFFERED=unbuffered), stdout=full)
+        assert got == (2, None, "error: cannot write output: [Errno 28] No space left on device\n")
+
+    @needs_full
+    @pytest.mark.parametrize("path,mode", [(FULL, "w"), (os.devnull, "r")], ids=["full", "read-only"])
+    @pytest.mark.parametrize("rows,code", [([[0, 0, 1.0000001]] * 3000, 0), ([[0, 0, 1.0000001], [0, 0, 2]], 3)],
+                             ids=["warns", "domain-error"])
+    def test_a_failing_stderr_loses_only_the_diagnostics(self, path, mode, rows, code):
+        # a descriptor open only for reading is what a shell script, such as
+        # a pyenv shim run with 2>&-, leaves on descriptor 2
+        args, stdin = ["lift", "--variant", "bloch"], json.dumps({"points": rows})
+        want = run_main(args, stdin)
+        assert want[0] == code and want[2]
+        with open(path, mode) as stderr:
+            assert run_child(args, stdin, stderr=stderr) == (*want[:2], None)

@@ -1,8 +1,9 @@
 """Every name a module of src/ or tests/ imports is referenced in it, every
 private module-level name of src/ is read somewhere in src/, and every one
 of tests/ somewhere in src/ or tests/; no module of src/ squares with ** 2
-or uses pow or np.linalg.norm, only its unit guards raise NotUnit, and none
-imports hopfrot.verify, or names from it, at module level."""
+or uses pow or np.linalg.norm, only its unit guards raise NotUnit, none
+imports hopfrot.verify, or names from it, at module level, and each
+standard stream has one writer."""
 
 import ast
 from collections import Counter
@@ -155,6 +156,43 @@ def verify_imports(path: Path) -> list[str]:
         if (isinstance(node, ast.ImportFrom) and node.module in ("verify", "hopfrot.verify"))
         or (isinstance(node, ast.Import) and "hopfrot.verify" in [alias.name for alias in node.names])
     ]
+
+
+# the functions that may write each standard stream: cli.main ends a failed
+# write to stdout, and cli._say one to stderr, by that stream's one rule
+WRITERS = {"sys.stdout": {"_emit", "_emit_rows"}, "sys.stderr": {"_say"}}
+
+
+def stream_writers(path: Path) -> list[str]:
+    """"file:line function code" for each print call in `path`, each
+    reference to sys.stderr, and each write to sys.stdout (by a write
+    method or through its byte layer) outside the functions WRITERS names."""
+    rel = path.relative_to(ROOT)
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            code = ast.unparse(child)
+            if isinstance(child, ast.Call) and ast.unparse(child.func) == "print":
+                found.append(f"{rel}:{child.lineno} {scope} {code}")
+            elif isinstance(child, ast.Attribute) and (
+                (code == "sys.stderr" and scope not in WRITERS["sys.stderr"])
+                or (ast.unparse(child.value) == "sys.stdout" and child.attr in ("write", "writelines", "buffer")
+                    and scope not in WRITERS["sys.stdout"])
+            ):
+                found.append(f"{rel}:{child.lineno} {scope} {code}")
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+    return found
+
+
+def test_each_standard_stream_has_one_writer():
+    paths = sorted((ROOT / "src" / "hopfrot").glob("*.py"))
+    assert [u for p in paths for u in stream_writers(p)] == []
 
 
 def test_verify_is_not_imported_at_module_level():
