@@ -25,6 +25,14 @@ imports hopfrot from SRC_DIR and runs `hopfrot.cli.main` in process on
 then, in a library section, calls the scalar functions of LIBRARY in
 process on seeded unit inputs and edge inputs, one line per call.
 
+    python tests/snapshot.py SRC_DIR --write-manifest tests/manifest.json
+    python tests/snapshot.py SRC_DIR --check-manifest tests/manifest.json
+
+write, or check against, the committed manifest: for each corpus of
+CORPORA, each section kind's line count and SHA-256, and the SHA-256 of
+repr(run_all(10**4, s, 1e-9)) for s = 0, 1 and 2.  The check prints each
+entry that moved and exits 1 if any did.
+
 The documents are built with numpy and the standard library alone, never
 with hopfrot, so the script runs against any version of the sources, and
 `diff` of two runs compares two versions byte for byte.  Long outputs
@@ -48,6 +56,13 @@ import warnings
 import numpy as np
 
 ROWS = 300  # rows per batch document
+
+# the corpora of the manifest: a small one, which tier-1 checks, and the
+# full corpus at edge seeds 0 and 1
+SMALL = dict(edge=80, seed=5, points=30, samples=5, batch_seeds=(1,), bench_seeds=(1,), library=2)
+CORPORA = {"small": SMALL, "seed 0": dict(seed=0), "seed 1": dict(seed=1)}
+RUN_ALL_SEEDS = (0, 1, 2)
+MANIFEST = os.path.join(os.path.dirname(os.path.abspath(__file__)), "manifest.json")
 
 CHECKS = [
     "rephrase", "quat-identification", "template-classic", "template-quat",
@@ -630,9 +645,56 @@ def report(library=LIBRARY_ROWS, **kwargs) -> list[str]:
     return lines + library_report(kwargs.get("seed", 0), library)
 
 
+# -- the manifest -----------------------------------------------------------------
+
+
+def sections(lines) -> dict:
+    """{kind: {"lines": count, "sha256": hex}} of a report's sections, where
+    a line belongs to the kind named by the first word of the last `## `
+    label before it (batch, cli-batch, edge, scan, fiber, verify, library),
+    and the hash is of its kind's lines, each ended by a newline."""
+    kinds = {}
+    for line in lines:
+        if line.startswith("## "):
+            kind = kinds.setdefault(line.split()[1], [])
+        kind.append(line + "\n")
+    return {k: {"lines": len(v), "sha256": hashlib.sha256("".join(v).encode()).hexdigest()} for k, v in kinds.items()}
+
+
+def run_all_hash(seed: int) -> str:
+    from hopfrot.verify import run_all  # here, after main() has put SRC_DIR on sys.path
+
+    return hashlib.sha256(repr(run_all(10**4, seed, 1e-9)).encode()).hexdigest()
+
+
+def manifest(corpora=CORPORA) -> dict:
+    """The run_all hashes, and the sections of each of `corpora`'s reports."""
+    return {
+        "run_all": {str(s): run_all_hash(s) for s in RUN_ALL_SEEDS},
+        "snapshot": {name: sections(report(**kwargs)) for name, kwargs in corpora.items()},
+    }
+
+
+def moved(old: dict, new: dict) -> list[str]:
+    """One line for each entry of manifest `new` that differs from `old`:
+    a run_all seed, or a corpus and section kind with its line counts."""
+    out = [f"run_all seed {s}" for s, h in new["run_all"].items() if old["run_all"].get(s) != h]
+    for corpus, kinds in new["snapshot"].items():
+        before = old["snapshot"].get(corpus, {})
+        for kind, entry in kinds.items():
+            if before.get(kind) != entry:
+                out.append(f"{corpus} {kind}: {before.get(kind, {}).get('lines')} -> {entry['lines']} lines")
+        out += [f"{corpus} {kind}: gone" for kind in before if kind not in kinds]
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("src", help="directory that holds the hopfrot package")
+    parser.add_argument("--write-manifest", metavar="PATH", help="write the manifest to PATH and print nothing else")
+    parser.add_argument(
+        "--check-manifest", metavar="PATH", help="print each entry that moved from the manifest at PATH; exit 1 if any did"
+    )
     parser.add_argument("--edge", type=int, default=1000, help="edge documents (default 1000)")
     parser.add_argument(
         "--seed", type=int, default=0, help="seed of the edge corpus and the library inputs (default 0)"
@@ -641,6 +703,15 @@ def main(argv=None) -> int:
     parser.add_argument("--samples", type=int, default=300, help="verify samples per check")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
+    if args.write_manifest:
+        with open(args.write_manifest, "w", encoding="utf-8") as f:
+            f.write(json.dumps(manifest(), indent=1, sort_keys=True) + "\n")
+        return 0
+    if args.check_manifest:
+        with open(args.check_manifest, encoding="utf-8") as f:
+            lines = moved(json.load(f), manifest())
+        print("\n".join(lines) or "manifest: no entry moved")
+        return 1 if lines else 0
     for line in report(edge=args.edge, seed=args.seed, points=args.points, samples=args.samples):
         print(line)
     return 0

@@ -1,12 +1,12 @@
 """tests/snapshot.py, the CLI and library byte snapshot that compares two
 versions of the sources, kept runnable: a small corpus run twice gives the
-same lines."""
+same lines, and its sections and the run_all hashes are those of the
+committed manifest (tests/manifest.json; the full corpora are checked by
+`python tests/snapshot.py src --check-manifest tests/manifest.json`)."""
 
 import json
 
-from snapshot import CHECKS, LIBRARY, report
-
-SMALL = dict(edge=80, seed=5, points=30, samples=5, batch_seeds=(1,), bench_seeds=(1,), library=2)
+from snapshot import CHECKS, LIBRARY, MANIFEST, RUN_ALL_SEEDS, SMALL, moved, report, run_all_hash, sections
 # the calls that the scalar-calls benchmark times (bench/workloads.py SCALAR_CALLS)
 SCALAR_CALLS = [
     "rotate", "gq", "gb", "quat_hopf", "bloch", "hopf_classic", "lift_bloch", "lift_quat_hopf",
@@ -44,3 +44,13 @@ def test_library_section_calls_every_scalar_call():
     # a result and a raised error both show
     assert any(": Quaternion(x0=" in line for line in section)
     assert any(": raised NotUnit: " in line for line in section)
+
+
+def test_small_corpus_and_run_all_match_the_manifest():
+    with open(MANIFEST, encoding="utf-8") as f:
+        committed = json.load(f)
+    now = {
+        "run_all": {str(s): run_all_hash(s) for s in RUN_ALL_SEEDS},
+        "snapshot": {"small": sections(report(**SMALL))},
+    }
+    assert moved(committed, now) == []
