@@ -138,11 +138,6 @@ def reverse(p) -> np.ndarray:
     return np.array([z, y, x])
 
 
-def _acos(t):
-    # acos(max(-1.0, min(1.0, t))): NaN clamps to 1.0, as min(1.0, nan) is 1.0
-    return each(math.acos, where(t < 1.0, where(t > -1.0, t, -1.0), 1.0))
-
-
 def _spherical_lift(p, sign: int) -> ComplexPair:
     zr, zi, wr, wi = spherical_lift_columns(*require_sphere(p), sign)
     return ComplexPair(complex(zr, zi), complex(wr, wi))
@@ -150,13 +145,13 @@ def _spherical_lift(p, sign: int) -> ComplexPair:
 
 def spherical_lift_columns(x, y, z, sign: int):
     """The section (cos theta/2, e^{sign i phi} sin theta/2) over a unit point,
-    with colatitude theta and azimuth phi (phi = 0 at the poles), as
-    (Re z, Im z, Re w, Im w).
+    with colatitude theta = atan2(|(x, y)|, z) and azimuth phi (phi = 0 at
+    the poles), as (Re z, Im z, Re w, Im w).
 
     The phase is computed for each sign rather than conjugated: where
     phi = 0, conjugation would turn +0.0 imaginary parts into -0.0.
     """
-    half = _acos(z) / 2.0
+    half = each(math.atan2, vector_norm((x, y)), z) / 2.0
     phi = each(math.atan2, y, x)
     # cmath.exp(sign * 1j * phi) * sin(theta/2) as CPython 3.11 rounds it:
     # the exponent's real part is +-0.0, so its exp is exactly (cos, sin)
@@ -199,10 +194,10 @@ def lift_quat_hopf_columns(x, y, z):
     """lift_quat_hopf past its require_sphere, on coordinates that are
     numbers or columns, pinned bases included."""
     s = vector_norm((y, z))  # |(1,0,0) x p|
+    half = each(math.atan2, s, x) / 2.0
     pinned = s <= EPS_NORM
     s = s + pinned  # s + 1.0 where pinned, so that a pinned number never divides 0/0
     pin = 1.0 * (x > 0)  # 1 at (1,0,0), j at (-1,0,0)
-    half = _acos(x) / 2.0
     sn = each(math.sin, half)
     return (
         where(pinned, pin, each(math.cos, half)),

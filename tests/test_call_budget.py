@@ -28,8 +28,8 @@ BUDGET = {
     "quat_hopf": ((Quaternion(0.5, 0.5, 0.5, 0.5),), 6),
     "bloch": ((STATE,), 12),
     "hopf_classic": ((UNIT_PAIR,), 19),
-    "lift_bloch": ((POINT,), 16),
-    "lift_quat_hopf": ((POINT,), 18),
+    "lift_bloch": ((POINT,), 15),
+    "lift_quat_hopf": ((POINT,), 15),
     "rotate_via_bloch": ((AA, STATE), 21),
 }
 

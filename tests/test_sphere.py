@@ -233,8 +233,8 @@ class TestSphereGuard:
         assert require_sphere(p) == p
         assert require_sphere(p[::-1]) == p[::-1]
         assert lift_bloch(p[::-1]) == ComplexPair(
-            complex(0.5065927997827894, 0.0),
-            complex(0.2772622859521548, -0.8163879959901543),
+            complex(0.506592800022986, 0.0),
+            complex(0.2772622859067695, -0.816387995856519),
         )
 
     def test_verdict_ignores_coordinate_order(self):
