@@ -149,6 +149,15 @@ def test_empty_points_ok():
     assert json.loads(res.stdout) == {"points": []}
 
 
+def test_lift_near_a_pole_is_a_section():
+    # 1e-8 from the north pole: the lift is not the pole's (w = 0), and it
+    # maps back to the base exactly
+    code, stdout, _ = run_main(["lift", "--variant", "bloch"], '{"points": [[1e-8, 0, 1]]}')
+    assert (code, stdout) == (0, '{"lifts": [{"w": [5e-09, 0.0], "z": [1.0, 0.0]}]}\n')
+    code, stdout, _ = run_main(["fiber", "--variant", "bloch"], '{"base": [1e-8, 0, 1]}')
+    assert code == 0 and json.loads(stdout)["roundtrip_max_error"] == 0.0
+
+
 class TestExitCodes:
     def test_parse_error_is_2(self):
         assert run_cli(["convert"], "not json").returncode == 2

@@ -30,7 +30,7 @@ from hopfrot import (
     transpose_map,
 )
 from hopfrot.hopf import LIFTS, MAPS, fiber_points, sandwich
-from hopfrot.quat import J, K, ONE, ComplexColumn, vector_norm
+from hopfrot.quat import EPS_NORM, J, K, ONE, ComplexColumn, vector_norm
 from hopfrot.sphere import finite
 
 RNG = np.random.default_rng(11)
@@ -197,6 +197,46 @@ class TestLifts:
             p = random_sphere(RNG)
             h = lift_quat_hopf(p)
             np.testing.assert_allclose(quat_hopf(h), p, atol=1e-9)
+
+
+SECTIONS = {
+    HopfVariant.CLASSIC: (lift_classic, hopf_classic),
+    HopfVariant.QUAT: (lift_quat_hopf, quat_hopf),
+    HopfVariant.BLOCH: (lift_bloch, bloch),
+}
+
+
+def section_rows(n=2000):
+    """n seeded generic unit points, then n within 1e-8 of each of
+    (0, 0, 1), (0, 0, -1), (1, 0, 0) and (-1, 0, 0), as a float64 array;
+    about a tenth of those near (+-1, 0, 0) are pinned bases of the
+    quaternion lift."""
+    rng = np.random.default_rng(41)
+    g = rng.standard_normal((n, 3))
+    rows = [g / np.linalg.norm(g, axis=1, keepdims=True)]
+    for index, sign in [(2, 1.0), (2, -1.0), (0, 1.0), (0, -1.0)]:
+        t, a = 1e-8 * rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 2.0 * math.pi, n)
+        near = np.column_stack([t * np.cos(a), t * np.sin(a)])  # off the axis by t
+        rows.append(np.insert(near, index, sign, axis=1))
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize("form", ["scalar", "columns"])
+@pytest.mark.parametrize("variant", list(HopfVariant), ids=[v.value for v in HopfVariant])
+def test_lifts_are_sections(variant, form):
+    # map(lift(p)) = p to the last bits, but where the quaternion lift pins
+    # p to the preimage of (+-1, 0, 0), which is within EPS_NORM of p
+    rows = section_rows()
+    lift, mapper = SECTIONS[variant]
+    if form == "scalar":
+        mapped = np.array([mapper(lift(p)) for p in rows.tolist()])
+    else:
+        lifted = np.broadcast_arrays(*LIFTS[variant].columns(*rows.T))
+        mapped = np.column_stack(MAPS[variant].columns(*lifted))
+    error = np.linalg.norm(mapped - rows, axis=1)
+    pinned = (variant is HopfVariant.QUAT) & (vector_norm((rows[:, 1], rows[:, 2])) <= EPS_NORM)
+    assert 0 < pinned.sum() < len(rows) or variant is not HopfVariant.QUAT
+    assert (error <= np.where(pinned, EPS_NORM, 0.0) + 1e-15).all(), rows[error.argmax()].tolist()
 
 
 class TestFiberSample:
