@@ -98,7 +98,7 @@ def _source(path: str | None):
     """FILE, or stdin, as a seekable text stream: in place if it can seek;
     else its bytes copied to an unnamed temporary file and decoded as it
     decodes them, or its whole text if there is no such file or no bytes."""
-    opened = open(path, "r", encoding="utf-8") if path is not None else contextlib.nullcontext(sys.stdin)
+    opened = open(path, encoding="utf-8", newline="") if path is not None else contextlib.nullcontext(sys.stdin)
     with opened as f:
         if f is None:
             raise OSError("stdin is closed")
@@ -529,8 +529,13 @@ def _tolerance(text: str) -> float:
     return t
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):  # help is output, as any write to stdout; usage errors go by _say
+        (sys.stdout.write if file is sys.stdout else _say)(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hopfrot",
         description="Hopf maps, rotation conventions, and identity verification.",
     )
@@ -580,16 +585,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_USAGE if e.code not in (0, None) else 0
-    if sys.stdout is None:  # closed when the process started
-        _say("error: cannot write output: stdout is closed\n")
-        return EXIT_USAGE
-    try:
-        code = args.func(args)
+        if sys.stdout is None:  # closed when the process started
+            raise OSError("stdout is closed")
+        try:
+            args = _build_parser().parse_args(argv)
+            code = args.func(args)
+        except SystemExit as e:  # argparse's, after its help or a usage error
+            code = EXIT_USAGE if e.code not in (0, None) else EXIT_OK
         sys.stdout.flush()  # so that a failed write is found here, not at exit
         return code
     except (ParseError, UnknownCheck, DomainError) as e:
@@ -597,7 +600,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DOMAIN if isinstance(e, DomainError) else EXIT_USAGE
     except OSError as e:  # from a write to stdout: _load_doc and _say catch their own
         # nothing more reaches stdout, not even what is buffered at exit
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         _say(f"error: cannot write output: {e}\n")
         return EXIT_USAGE
 

@@ -863,7 +863,7 @@ def test_reader_gives_json_loads_arrays_or_hands_back(case, cut):
         with open(path, "wb") as f:
             f.write(raw)
         try:
-            with open(path, encoding="utf-8") as f:
+            with open(path, encoding="utf-8", newline="") as f:
                 want = whole_text_doc(f.read(), width, pairs)
         except UnicodeDecodeError as e:
             want = f"cannot read input document: {e}"

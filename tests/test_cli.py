@@ -10,7 +10,7 @@ import pytest
 
 from goldens import CASES, CHILD_ENV, CONVERT_IN, FIBER_IN, GOLDEN, LIFT_IN, ROTATE_IN, check_golden, run_cli
 from hopfrot import cli
-from snapshot import run_main, unit_rows
+from snapshot import FILE, PIPE, run_main, unit_rows
 
 
 def test_convert_golden():
@@ -369,6 +369,30 @@ class TestStreamRules:
         with open(FULL, "w") as full:
             got = run_child(args, stdin, dict(CHILD_ENV, PYTHONUNBUFFERED=unbuffered), stdout=full)
         assert got == (2, None, "error: cannot write output: [Errno 28] No space left on device\n")
+
+    @needs_full
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("args", [["--help"], ["rotate", "--help"]], ids=" ".join)
+    def test_help_on_a_failing_stdout_is_an_output_error(self, args, unbuffered):
+        with open(FULL, "w") as full:
+            got = run_child(args, "", dict(CHILD_ENV, PYTHONUNBUFFERED=unbuffered), stdout=full)
+        assert got == (2, None, "error: cannot write output: [Errno 28] No space left on device\n")
+
+    def test_help_and_usage_errors_keep_their_exits(self):
+        code, stdout, stderr = run_child(["rotate", "--help"], "")
+        assert (code, stdout.split(" ", 2)[:2], stderr) == (0, ["usage:", "hopfrot"], "")
+        code, stdout, stderr = run_main(["rotate", "--bogus"], "")
+        assert (code, stdout) == (2, "")
+        assert stderr.endswith("hopfrot: error: unrecognized arguments: --bogus\n")
+
+    def test_every_source_keeps_carriage_returns(self):
+        # json reports offsets in the text it is given: a FILE read with
+        # universal newlines would lose the two \r and say char 25
+        doc = '{"inputs":\r\n [[1,0,0,0]],\r\n}'
+        want = "error: cannot read input document: Expecting property name enclosed in double quotes: "
+        want += "line 3 column 1 (char 27)\n"
+        for route in ([], ["--in", FILE], [PIPE]):
+            assert run_main(["hopf", "--variant", "quat", *route], doc) == (2, "", want)
 
     @needs_full
     @pytest.mark.parametrize("path,mode", [(FULL, "w"), (os.devnull, "r")], ids=["full", "read-only"])

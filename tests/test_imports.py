@@ -160,7 +160,7 @@ def verify_imports(path: Path) -> list[str]:
 
 # the functions that may write each standard stream: cli.main ends a failed
 # write to stdout, and cli._say one to stderr, by that stream's one rule
-WRITERS = {"sys.stdout": {"_emit", "_emit_rows"}, "sys.stderr": {"_say"}}
+WRITERS = {"sys.stdout": {"_emit", "_emit_rows", "_print_message"}, "sys.stderr": {"_say"}}
 
 
 def stream_writers(path: Path) -> list[str]:
