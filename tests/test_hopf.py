@@ -235,7 +235,7 @@ def test_lifts_are_sections(variant, form):
         mapped = np.column_stack(MAPS[variant].columns(*lifted))
     error = np.linalg.norm(mapped - rows, axis=1)
     pinned = (variant is HopfVariant.QUAT) & (vector_norm((rows[:, 1], rows[:, 2])) <= EPS_NORM)
-    assert 0 < pinned.sum() < len(rows) or variant is not HopfVariant.QUAT
+    assert pinned.any() == (variant is HopfVariant.QUAT)
     assert (error <= np.where(pinned, EPS_NORM, 0.0) + 1e-15).all(), rows[error.argmax()].tolist()
 
 
