@@ -7,8 +7,8 @@ g -> g i g*; the Bloch map is the physicist's state-to-sphere projection
 
 Each map and lift also has a column form (`*_columns`), which evaluates it
 on float64 component columns with the scalar function's own formulas and
-branches; it raises nothing, and a map's is NaN where its unit check
-rejects a row.  See `MAPS` and `LIFTS`.
+branches; it raises and warns nothing, and a map's is NaN where its unit
+check rejects a row.  See `MAPS` and `LIFTS`.
 """
 
 from __future__ import annotations

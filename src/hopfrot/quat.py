@@ -31,10 +31,9 @@ _COLUMN = np.ndarray
 # vector_norm's scale factors: powers of two, so that scaling is exact
 _HUGE = 2.0**600
 _TINY = 2.0**-600
-# the column form's range of nonzero components, and the unit roundoff
+# the column form's range of nonzero components
 _BIG = 2.0**500
 _SMALL = 2.0**-450
-_U = 2.0**-53
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,55 +233,49 @@ def vector_norm(v):
     On a sequence of float64 columns, the column of the norms of its rows,
     each with the bits of that row's norm, computed on whole columns with
     real + - * /, comparisons and sqrt, which IEEE 754 rounds correctly on
-    every platform, and a float's neighbours read off its bits.  Each row's
-    squares x*x are rounded as above; two passes of the TwoSum cascade
-    (VecSum, Ogita, Rump and Oishi, "Accurate sum and dot product", 2005)
-    turn them into a leading term L and residuals r, with L + sum(r) the
-    exact sum S of the squares.  The residuals are summed left to right
-    into R; each of those k - 1 additions errs by at most half a unit in
-    the last place of its result, at most u = 2^-53 times it, so
-    |S - (L + R)| <= B = 2^(k-2) u max|partial sum| for k >= 2 residuals
-    (k - 1 <= 2^(k-2), and a power of two keeps B exact).  One last
-    TwoSum gives t = fl(L + R) and the exact e = L + R - t.  The row is
-    accepted, and its sum of squares is t, in one of two ways:
+    every platform.  Each row's squares x*x are rounded as above.  One
+    TwoSum pass over them (VecSum, Ogita, Rump and Oishi, "Accurate sum and
+    dot product", 2005) gives a sum t and residuals r, with t + sum(r) the
+    exact sum S of the squares.  The residuals are summed left to right by
+    TwoSum into R, whose errors sum to S - (t + R); `lost`, the rounded sum
+    of their magnitudes, is 0 exactly where each of them is.  One last
+    TwoSum gives t' = fl(t + R) and the exact e = t + R - t'.  The row is
+    accepted, and its sum of squares is t', in one of two cases:
 
-    - exact: at most one residual is nonzero, so R is exact, S = L + R,
-      and t is S rounded once, ties to even, as fsum rounds it;
-    - bounded: -h_down < e - B and e + B < h_up, where h_up and h_down
-      are half the spacing of the floats above and below t (h_down is
-      h_up / 2 when t is a power of two).  Then S = t + e + (S - L - R)
-      lies strictly between the midpoints around t and rounds to t.
-      Rounding is monotone and h_up, h_down are floats, so the tests on
-      the rounded e + B and e - B imply them on the exact ones.
+    - lost = 0: S = t' + e, so t' is S rounded once, ties to even, as
+      fsum rounds it;
+    - t' + (e + m) and t' + (e - m) both round to t', with the margin
+      m = 2 lost + 2^-100 t'.  Addition errs by at most u = 2^-53 times
+      its exact result, so lost is at least (1 - u)^k times the sum of
+      the magnitudes it rounds, and |S - t' - e| <= 2 (1 - u) lost.  As
+      |e| <= u t', fl(e + m) >= e + m - u (u t' + m) >= e + 2 (1 - u) lost,
+      and fl(e - m) <= e - 2 (1 - u) lost likewise.  So S lies between
+      t' + fl(e - m) and t' + fl(e + m); rounding is monotone, so S
+      rounds to t'.
 
     TwoSum is error-free, and the steps above are exact or err as
     stated, because a row reaches them only when each component is 0 or
     has magnitude in [2^-450, 2^500]: its squares are then at most 2^1000,
-    so no sum overflows, and multiples of 2^-952, so every nonzero sum,
-    residual and u * (partial sum) is at least 2^-1005, a normal float.
-    Rows with a component outside that range or not finite, and rows
-    that pass neither test, go to the per-row norm (math.fsum above).
+    so no sum overflows, and nonzero squares are at least 2^-900, so
+    2^-100 t' is exact.  Rows with a component outside that range or not
+    finite, and rows in neither case, go to the per-row norm (math.fsum
+    above).
     """
     if type(v[0]) is not _COLUMN:
         return _norm(v)
     with np.errstate(all="ignore"):  # rows with huge or non-finite components go to _norm
-        p = [c * c for c in v]
-        for _ in range(2):
-            for i in range(1, len(p)):
-                p[i], p[i - 1] = _two_sum(p[i], p[i - 1])
-        lead, r = p[-1], p[:-1]
-        R, big, nonzero = r[0], 0.0, (r[0] != 0.0).view(np.int8)
+        t, *p = [c * c for c in v]
+        r = []
+        for x in p:
+            t, e = _two_sum(t, x)
+            r.append(e)
+        R, lost = r[0], 0.0
         for x in r[1:]:
-            R = R + x
-            big = np.maximum(big, abs(R))
-            nonzero = nonzero + (x != 0.0)  # int8 + bool adds; bool + bool would be or
-        t, e = _two_sum(lead, R)
-        bound = 2.0 ** (len(r) - 2) * _U * big
-        # t's neighbours by its bits: nextafter's wherever the test can pass
-        bits = t.view(np.int64)
-        h_up = ((bits + 1).view(np.float64) - t) * 0.5
-        h_down = (t - (bits - 1).view(np.float64)) * 0.5
-        proved = (nonzero <= 1) | ((e + bound < h_up) & (e - bound > -h_down))
+            R, e = _two_sum(R, x)
+            lost = lost + abs(e)
+        t, e = _two_sum(t, R)
+        m = 2.0 * lost + 2.0**-100 * t
+        proved = (lost == 0.0) | ((t + (e + m) == t) & (t + (e - m) == t))
         a = np.abs(v)
         proved &= ((a <= _BIG) & ((a >= _SMALL) | (a == 0.0))).all(axis=0)
         n = np.sqrt(t)

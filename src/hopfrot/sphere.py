@@ -160,14 +160,15 @@ def stereo3_inv_ratio(z, w, move=None):
     the scalar functions branch to it: w = 0, or a quotient that overflows
     or whose squared modulus does.  The zero pair and rows with a NaN or
     infinite part, which the Hopf maps reject, are never a pole; the zero
-    pair comes out NaN."""
-    u = z / w
-    top = np.maximum(np.maximum(abs(z.real), abs(z.imag)), np.maximum(abs(w.real), abs(w.imag)))
-    # u is NaN where w = 0; top is in (0, inf) where z, w are finite, not both 0
-    pole = ~np.isfinite(u.real * u.real + u.imag * u.imag) & (0.0 < top) & (top < np.inf)
-    if move is not None:
-        u = move(u)
-    x, y, h = stereo3_inv_parts(u.real, u.imag)
+    pair comes out NaN.  It warns of nothing."""
+    with np.errstate(all="ignore"):  # NaN or inf where w = 0 or the quotient overflows; pole sorts them
+        u = z / w
+        top = np.maximum(np.maximum(abs(z.real), abs(z.imag)), np.maximum(abs(w.real), abs(w.imag)))
+        # u is NaN where w = 0; top is in (0, inf) where z, w are finite, not both 0
+        pole = ~np.isfinite(u.real * u.real + u.imag * u.imag) & (0.0 < top) & (top < np.inf)
+        if move is not None:
+            u = move(u)
+        x, y, h = stereo3_inv_parts(u.real, u.imag)
     return np.where(pole, 0.0, x), np.where(pole, 0.0, y), np.where(pole, 1.0, h)
 
 

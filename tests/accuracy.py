@@ -1,4 +1,5 @@
-"""Forward error of the kernels that take a half angle, against mpmath.
+"""Forward error of the kernels that take a half angle, and of the
+exactly rounded norm, against mpmath.
 
     python tests/accuracy.py SRC_DIR [--rows N] [--seed S] > table.md
 
@@ -11,13 +12,19 @@ seeded float64 rows of each region:
 - off norm: generic rows scaled by 1 + u EPS_NORM, |u| < 1, which the unit
   checks pass.
 
+vector_norm runs on columns of width k = 2, 3 and 4, on rows of normal
+components (generic), those rows normalized (unit), and normal components
+each scaled by 2^j, |j| <= 40 (spread).
+
 Each result is compared with the kernel's formula evaluated by mpmath at
 200 bits on the same float64 inputs: rows that a kernel pins (the bases of
 the quaternion lift and the identity of to_axis_angle, where the norm of
 the vector part is at most EPS_NORM) are compared with their pins.  A row's
 error is its largest component error, absolute, and in ulps of the row's
 largest exact component.  The table, in Markdown, gives for each kernel
-and region the max and the 99th percentile of both.
+and region the max and the 99th percentile of both.  `measure` gives the
+errors themselves, and tests/test_accuracy.py holds each kernel's max
+ulps, in every region, to its entry in BOUNDS.
 """
 
 from __future__ import annotations
@@ -31,6 +38,12 @@ import numpy as np
 
 mpmath.mp.prec = 200
 NEAR = 1e-8  # how far the rows near an axis are from it
+# the largest error in ulps that each kernel may have in any region: the
+# 2000-row table's maxima with headroom
+BOUNDS = {
+    "lift_classic": 4, "lift_quat_hopf": 4, "lift_bloch": 4, "hopf_classic": 4, "quat_hopf": 4, "bloch": 4,
+    "to_axis_angle": 2, "vector_norm": 2,
+}
 
 
 def mp(rows):
@@ -39,6 +52,10 @@ def mp(rows):
 
 def norm(*c):
     return mpmath.sqrt(mpmath.fsum(x * x for x in c))
+
+
+def exact_norm(*c):
+    return (norm(*c),)
 
 
 def exact_spherical_lift(sign):
@@ -106,6 +123,16 @@ def regions(rng, n, k, eps):
     return out
 
 
+def norm_regions(rng, n, k, eps):
+    """{name: an (n, k) array of rows} for vector_norm on k components."""
+    g = rng.standard_normal((n, k))
+    return {
+        f"generic k={k}": g,
+        f"unit k={k}": g / np.linalg.norm(g, axis=1, keepdims=True),
+        f"spread 2^+-40 k={k}": rng.standard_normal((n, k)) * np.ldexp(1.0, rng.integers(-40, 41, (n, k))),
+    }
+
+
 def errors(got, want):
     """Per row: the largest component error, absolute and in ulps of the
     row's largest exact component."""
@@ -118,8 +145,8 @@ def errors(got, want):
 
 
 def kernels(hopfrot):
-    """(name, width of the input rows, evaluate on an (n, width) array, exact)
-    for each kernel."""
+    """(name, width of the input rows, evaluate on an (n, width) array, exact,
+    regions) for each kernel."""
     from hopfrot.hopf import LIFTS, MAPS
 
     def columns(forms):
@@ -129,33 +156,43 @@ def kernels(hopfrot):
         out = [hopfrot.to_axis_angle(hopfrot.Quaternion(*r)) for r in rows.tolist()]
         return np.array([[a.theta, *a.axis] for a in out])
 
+    def vector_norm(rows):
+        return hopfrot.quat.vector_norm(tuple(rows.T))[:, None]
+
     v, eps = hopfrot.HopfVariant, hopfrot.quat.EPS_NORM
     return [
-        ("lift_classic", 3, columns(LIFTS[v.CLASSIC]), exact_spherical_lift(-1)),
-        ("lift_quat_hopf", 3, columns(LIFTS[v.QUAT]), exact_quat_lift(eps)),
-        ("lift_bloch", 3, columns(LIFTS[v.BLOCH]), exact_spherical_lift(1)),
-        ("hopf_classic", 4, columns(MAPS[v.CLASSIC]), exact_ratio_map(False)),
-        ("quat_hopf", 4, columns(MAPS[v.QUAT]), exact_quat_hopf),
-        ("bloch", 4, columns(MAPS[v.BLOCH]), exact_ratio_map(True)),
-        ("to_axis_angle", 4, axis_angle, exact_axis_angle(eps)),
+        ("lift_classic", 3, columns(LIFTS[v.CLASSIC]), exact_spherical_lift(-1), regions),
+        ("lift_quat_hopf", 3, columns(LIFTS[v.QUAT]), exact_quat_lift(eps), regions),
+        ("lift_bloch", 3, columns(LIFTS[v.BLOCH]), exact_spherical_lift(1), regions),
+        ("hopf_classic", 4, columns(MAPS[v.CLASSIC]), exact_ratio_map(False), regions),
+        ("quat_hopf", 4, columns(MAPS[v.QUAT]), exact_quat_hopf, regions),
+        ("bloch", 4, columns(MAPS[v.BLOCH]), exact_ratio_map(True), regions),
+        ("to_axis_angle", 4, axis_angle, exact_axis_angle(eps), regions),
+        *[("vector_norm", k, vector_norm, exact_norm, norm_regions) for k in (2, 3, 4)],
     ]
 
 
-def table(n=2000, seed=0) -> list[str]:
+def measure(n=2000, seed=0):
+    """(kernel, region, absolute errors, errors in ulps) for each kernel and
+    region, on n rows each."""
     import hopfrot  # here, after main() has put SRC_DIR on sys.path
 
     eps = hopfrot.quat.EPS_NORM
+    for name, width, evaluate, exact, draw in kernels(hopfrot):
+        for region, rows in draw(np.random.default_rng([seed, width]), n, width, eps).items():
+            yield (name, region, *errors(evaluate(rows), [exact(*r) for r in mp(rows)]))
+
+
+def table(n=2000, seed=0) -> list[str]:
     lines = [
         "| Kernel | Region | max abs | p99 abs | max ulps | p99 ulps |",
         "| --- | --- | --- | --- | --- | --- |",
     ]
-    for name, width, evaluate, exact in kernels(hopfrot):
-        for region, rows in regions(np.random.default_rng([seed, width]), n, width, eps).items():
-            absolute, ulps = errors(evaluate(rows), [exact(*r) for r in mp(rows)])
-            lines.append(
-                f"| `{name}` | {region} | {absolute.max():.2g} | {np.quantile(absolute, 0.99):.2g} "
-                f"| {ulps.max():.3g} | {np.quantile(ulps, 0.99):.3g} |"
-            )
+    for name, region, absolute, ulps in measure(n, seed):
+        lines.append(
+            f"| `{name}` | {region} | {absolute.max():.2g} | {np.quantile(absolute, 0.99):.2g} "
+            f"| {ulps.max():.3g} | {np.quantile(ulps, 0.99):.3g} |"
+        )
     return lines
 
 

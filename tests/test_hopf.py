@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -426,3 +427,44 @@ def test_column_forms_hand_back_by_nan(kind, variant):
         compared += 1
     assert compared >= 200  # at least the generic unit rows
 
+
+
+# rows on which the column forms once warned (w = 0, the zero pair, ratios
+# too large to square), with the poles, pinned bases, zero and off-unit
+# points of the lifts, and what each form gives on them
+QUIET_ROWS = {
+    "map": [[1.0, 0, 0, 0], [0, 0, 0, 0], [2.0, 0, 0, 0], [1.0, 0, 1e-200, 0], [1.0, 0, 5e-324, 0],
+            [1e300, 1e300, 1e-300, 0]],
+    "lift": [[1.0, 0, 0], [-1.0, 0, 0], [0, 0, 1.0], [0, 0, -1.0], [0, 0, 0], [2.0, 0, 0]],
+}
+NAN3, POLE, H = [math.nan] * 3, [0.0, 0.0, 1.0], 0.7071067811865476
+QUIET_VALUES = {
+    ("map", HopfVariant.CLASSIC): [POLE, NAN3, NAN3, POLE, POLE, NAN3],
+    ("map", HopfVariant.QUAT): [[1.0, 0.0, 0.0], NAN3, NAN3, [1.0, 0.0, -2e-200], [1.0, 0.0, -1e-323], NAN3],
+    ("map", HopfVariant.BLOCH): [POLE, NAN3, POLE, POLE, POLE, POLE],
+    ("lift", HopfVariant.CLASSIC): [
+        [H, 0.0, 0.7071067811865475, 0.0], [H, 0.0, -0.7071067811865475, -8.659560562354932e-17],
+        [1.0, 0.0, 0.0, 0.0], [6.123233995736766e-17, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+        [H, 0.0, 0.7071067811865475, 0.0],
+    ],
+    ("lift", HopfVariant.QUAT): [
+        [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [H, 0.0, -0.7071067811865475, 0.0],
+        [H, 0.0, 0.7071067811865475, 0.0], [0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+    ],
+    ("lift", HopfVariant.BLOCH): [
+        [H, 0.0, 0.7071067811865475, 0.0], [H, 0.0, -0.7071067811865475, 8.659560562354932e-17],
+        [1.0, 0.0, 0.0, 0.0], [6.123233995736766e-17, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+        [H, 0.0, 0.7071067811865475, 0.0],
+    ],
+}
+
+
+@pytest.mark.parametrize("variant", list(HopfVariant), ids=[v.value for v in HopfVariant])
+@pytest.mark.parametrize("kind", ["map", "lift"])
+def test_column_forms_warn_nothing(kind, variant):
+    forms = (MAPS if kind == "map" else LIFTS)[variant]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = forms.columns(*np.array(QUIET_ROWS[kind], dtype=np.float64).T)
+    cols = np.column_stack(np.broadcast_arrays(*out))
+    assert repr(cols.tolist()) == repr(QUIET_VALUES[kind, variant])

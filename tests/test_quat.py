@@ -233,7 +233,11 @@ def test_column_norm_has_each_rows_bits(rows):
 
 
 def test_column_norm_hands_unproved_rows_to_the_row_norm(monkeypatch):
-    proved = [[0.6, 0.8, 0.0], [3.0, -4.0, 12.0], [1.0, 2.0**-27, 2.0**-27]]  # the last an exact tie
+    proved = [
+        [0.6, 0.8, 0.0], [3.0, -4.0, 12.0],
+        [1.0, 2.0**-27, 2.0**-27],  # an exact tie
+        [1.0, 1e-9, 1e-18],  # spread over 2^60: its residuals do not sum exactly, the margin decides
+    ]
     forced = [
         [2.0**500 * 1.5, 1.0, 0.0],  # a component above 2^500
         [1e200, -1e200, 3.0],
